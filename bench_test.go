@@ -363,9 +363,10 @@ func BenchmarkEvalBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, width := range widths {
-			mons := instrument.NewLanes(width, func() rt.Monitor { return &instrument.Boundary{} })
+			mons := make([]rt.Monitor, width)
 			xs := make([][]float64, width)
 			for i := range xs {
+				mons[i] = &instrument.Boundary{}
 				xs[i] = c.x
 			}
 			out := make([]float64, width)

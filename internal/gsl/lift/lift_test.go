@@ -10,6 +10,7 @@ import (
 	"repro/internal/gofront"
 	"repro/internal/gsl/lift"
 	"repro/internal/interp"
+	"repro/internal/pipeline"
 	"repro/internal/rt"
 )
 
@@ -62,8 +63,9 @@ func sameBits(a, b uint64) bool {
 
 // TestDifferentialOracle is the native-vs-lifted differential contract:
 // every corpus function, executed natively (the real compiled Go code),
-// through the tree-walking engine, through the VM, and through the
-// batch VM at lane widths 1, 4, and 16, must produce bit-identical
+// through the tree-walking engine, through the VM, through the batch VM
+// at lane widths 1, 4, and 16, and through a module-cache VM entry
+// (flat code only, IR bodies released), must produce bit-identical
 // results (see sameBits) over the shared input battery.
 func TestDifferentialOracle(t *testing.T) {
 	src := lift.CombinedSource()
@@ -74,6 +76,10 @@ func TestDifferentialOracle(t *testing.T) {
 	cm, err := compile.Compile(mod)
 	if err != nil {
 		t.Fatalf("flat-compile: %v", err)
+	}
+	cached, _, err := pipeline.NewModuleCache().Module(gofront.LangGo, src, interp.EngineVM)
+	if err != nil {
+		t.Fatalf("cache: %v", err)
 	}
 
 	rng := rand.New(rand.NewSource(41))
@@ -87,19 +93,32 @@ func TestDifferentialOracle(t *testing.T) {
 			want[i] = math.Float64bits(fn.Call(x))
 		}
 
-		// Tree walker and VM.
-		for _, eng := range []interp.Engine{interp.EngineTree, interp.EngineVM} {
-			it := interp.New(mod)
-			it.Engine = eng
-			for i, x := range inputs {
-				got, err := it.Run(name, x)
+		// Tree walker, VM, and the cache's VM entry.
+		tree := interp.New(mod)
+		tree.Engine = interp.EngineTree
+		vm := interp.New(mod)
+		vm.Engine = interp.EngineVM
+		if cached.Mod.Func(name).Blocks != nil {
+			t.Fatalf("%s: cache VM entry retains its IR body", name)
+		}
+		for i, x := range inputs {
+			treeBits := uint64(0)
+			for _, party := range []struct {
+				name string
+				it   *interp.Interp
+			}{{"tree", tree}, {"vm", vm}, {"cache-vm", cached}} {
+				got, err := party.it.Run(name, x)
 				if err != nil {
-					t.Fatalf("%s/%s: %v", name, eng, err)
+					t.Fatalf("%s/%s: %v", name, party.name, err)
 				}
-				if !sameBits(math.Float64bits(got), want[i]) {
-					t.Errorf("%s(%v) engine %s: got %x (%g), native %x (%g)",
-						name, x, eng, math.Float64bits(got), got,
-						want[i], math.Float64frombits(want[i]))
+				bits := math.Float64bits(got)
+				if party.it == tree {
+					treeBits = bits
+				}
+				if !sameBits(bits, want[i]) || !sameBits(bits, treeBits) {
+					t.Errorf("%s(%v) %s: got %x (%g), native %x (%g), tree %x",
+						name, x, party.name, bits, got,
+						want[i], math.Float64frombits(want[i]), treeBits)
 				}
 			}
 		}

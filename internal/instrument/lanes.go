@@ -4,31 +4,17 @@
 // program) drives one monitor instance per lane, so per-lane
 // accumulation — identical traces and weak distances to K serial
 // runs — falls out of the monitors being ordinary single-execution
-// state machines. Two things live here:
-//
-//   - NewLanes, the helper analyses use to build a monitor bank for a
-//     lane-parallel objective (one independent monitor per lane).
-//   - rt.FPOpFree declarations for every branch-only monitor. Their
-//     FPOp methods are pure no-ops, so a batch engine may skip the
-//     per-lane FPOp dispatch on arithmetic instructions — the dominant
-//     dispatch cost of a sweep — without changing a single observable.
-//     The overflow and non-finite monitors observe FP operations (and
-//     request Algorithm-3 early stops), so they deliberately carry no
-//     declaration and keep the full dispatch.
+// state machines. What lives here are the rt.FPOpFree declarations
+// for every branch-only monitor. Their FPOp methods are pure no-ops,
+// so a batch engine may skip the per-lane FPOp dispatch on arithmetic
+// instructions — the dominant dispatch cost of a sweep — without
+// changing a single observable. The overflow and non-finite monitors
+// observe FP operations (and request Algorithm-3 early stops), so
+// they deliberately carry no declaration and keep the full dispatch.
 
 package instrument
 
 import "repro/internal/rt"
-
-// NewLanes builds a bank of n independent monitors from a factory, for
-// use as the per-lane monitor set of a batched weak-distance sweep.
-func NewLanes(n int, mk func() rt.Monitor) []rt.Monitor {
-	mons := make([]rt.Monitor, n)
-	for i := range mons {
-		mons[i] = mk()
-	}
-	return mons
-}
 
 // FPOpFree implements rt.FPOpFree: boundary distances observe branches
 // only.

@@ -119,6 +119,39 @@ func (it *Interp) compiledModule() (*compile.Module, error) {
 	return it.compiled, nil
 }
 
+// Flatten compiles the module to flat code now and releases the IR
+// function bodies, keeping only what the VM engine runs: the compiled
+// module, the site tables, Order and each function's signature
+// (NParams, Ret, Kinds). A long-lived VM interpreter (a module-cache
+// entry) retains a fraction of the memory the IR bodies take. The
+// original module is not modified. Afterwards the tree-walking engine
+// has nothing to walk and refuses to run.
+func (it *Interp) Flatten() error {
+	if _, err := it.compiledModule(); err != nil {
+		return err
+	}
+	m := &ir.Module{
+		Funcs:       make(map[string]*ir.Func, len(it.Mod.Funcs)),
+		Order:       it.Mod.Order,
+		OpSites:     it.Mod.OpSites,
+		BranchSites: it.Mod.BranchSites,
+	}
+	for name, f := range it.Mod.Funcs {
+		m.Funcs[name] = &ir.Func{Name: f.Name, NParams: f.NParams, Ret: f.Ret, Kinds: f.Kinds}
+	}
+	it.Mod = m
+	return nil
+}
+
+// treeFunc reports an error when fn cannot run on the tree-walking
+// engine, which needs the IR bodies that Flatten releases.
+func treeFunc(fn *ir.Func) error {
+	if fn.Blocks == nil {
+		return fmt.Errorf("interp: %s has no IR body (the module was flattened for the VM)", fn.Name)
+	}
+	return nil
+}
+
 // Program wraps the named function as an instrumentable rt.Program.
 // The returned program shares the interpreter (and its failure log).
 func (it *Interp) Program(fnName string) (*rt.Program, error) {
@@ -129,6 +162,9 @@ func (it *Interp) Program(fnName string) (*rt.Program, error) {
 	var run func(ctx *rt.Ctx, x []float64)
 	var runBatch func(mons []rt.Monitor, xs [][]float64, out []float64)
 	if it.Engine == EngineTree {
+		if err := treeFunc(fn); err != nil {
+			return nil, err
+		}
 		run = func(ctx *rt.Ctx, x []float64) {
 			it.run(ctx, fn, x)
 		}
@@ -204,6 +240,9 @@ func (it *Interp) Run(fnName string, x []float64) (float64, error) {
 		return 0, fmt.Errorf("interp: no function %q in module", fnName)
 	}
 	if it.Engine == EngineTree {
+		if err := treeFunc(fn); err != nil {
+			return 0, err
+		}
 		return it.run(rt.NewCtx(rt.NopMonitor{}), fn, x), nil
 	}
 	cm, err := it.compiledModule()

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/gofront"
 	"repro/internal/interp"
@@ -13,15 +14,32 @@ import (
 
 // ModuleCache caches compiled modules keyed by source hash (plus
 // execution engine and source language), so repeated requests for the
-// same source skip lex/parse/lower and flat-code compilation entirely. It is safe for
-// concurrent use; every Program call returns a fresh concurrency-safe
-// program instance over the shared immutable compiled module.
+// same source skip the frontend and flat-code compilation entirely. It
+// is safe for concurrent use; every Program call returns a fresh
+// concurrency-safe program instance over the shared immutable compiled
+// module.
 //
-// The cache is bounded: beyond MaxModules entries the least recently
-// used module is evicted (in-flight instances keep referencing the
-// shared immutable module; only the cache slot is reclaimed), and
-// failed compilations are never retained, so a long-running fpserve
-// sweeping many distinct sources stays at a bounded footprint.
+// The cache is bounded to MaxModules entries and evicts by cost, not
+// recency alone (GreedyDual: Young 1994; Cao & Irani 1997). A miss on
+// a lifted-Go module costs tens of times what a miss on an FPL module
+// does, so an entry's cost is its own measured compile time. Every
+// access sets the entry's credit to floor + cost; eviction drops the
+// entry with the lowest credit (the least recently used among equal
+// credits, so equal-cost traffic evicts exactly in LRU order) and
+// raises floor to that credit. An expensive module thus survives a
+// sweep of cheap ones until floor has risen by its cost.
+//
+// An entry whose compile is still running holds no module yet and is
+// never the victim: dropping it would throw away the compile another
+// client is about to finish. The cap can therefore be exceeded by at
+// most the number of compiles in flight. In-flight program instances
+// keep referencing an evicted module; only the cache slot is
+// reclaimed. Failed compilations are never retained.
+//
+// A VM-engine entry keeps only what the VM runs: the compiled flat
+// code, the site tables, the function order and each function's
+// signature (interp.Flatten); the IR bodies are released once compiled.
+// A tree-engine entry keeps its IR, which the tree-walker executes.
 type ModuleCache struct {
 	// MaxModules bounds retained modules; 0 selects DefaultMaxModules.
 	MaxModules int
@@ -29,9 +47,12 @@ type ModuleCache struct {
 	mu      sync.Mutex
 	entries map[moduleKey]*moduleEntry
 	tick    int64
+	floor   int64 // credit of the last victim
 
-	compiles atomic.Int64
-	hits     atomic.Int64
+	compiles  atomic.Int64
+	hits      atomic.Int64
+	evictions atomic.Int64
+	compileNs atomic.Int64
 }
 
 // DefaultMaxModules is the default cache capacity.
@@ -53,7 +74,11 @@ type moduleEntry struct {
 	it   *interp.Interp
 	err  error
 
-	lastUse int64 // guarded by ModuleCache.mu
+	// Eviction state, guarded by ModuleCache.mu.
+	ready   bool  // compile finished; only ready entries are evicted
+	cost    int64 // measured compile time, ns
+	credit  int64 // floor at the last access + cost
+	lastUse int64
 
 	mu    sync.Mutex
 	progs map[string]*rt.Program
@@ -67,6 +92,10 @@ type CacheStats struct {
 	Compiles int64 `json:"compiles"`
 	// Hits counts Program calls served without compiling.
 	Hits int64 `json:"hits"`
+	// Evictions counts entries dropped to respect MaxModules.
+	Evictions int64 `json:"evictions"`
+	// CompileMs is the cumulative wall time of those compilations.
+	CompileMs float64 `json:"compileMs"`
 }
 
 // Stats returns the cache counters.
@@ -74,7 +103,13 @@ func (c *ModuleCache) Stats() CacheStats {
 	c.mu.Lock()
 	n := len(c.entries)
 	c.mu.Unlock()
-	return CacheStats{Modules: n, Compiles: c.compiles.Load(), Hits: c.hits.Load()}
+	return CacheStats{
+		Modules:   n,
+		Compiles:  c.compiles.Load(),
+		Hits:      c.hits.Load(),
+		Evictions: c.evictions.Load(),
+		CompileMs: float64(c.compileNs.Load()) / float64(time.Millisecond),
+	}
 }
 
 // SourceID is the content address of a source text: the hex sha256 of
@@ -118,25 +153,25 @@ func (c *ModuleCache) entry(lg gofront.Lang, src string, eng interp.Engine) (*mo
 	if !hit {
 		e = &moduleEntry{progs: map[string]*rt.Program{}}
 		c.entries[k] = e
-		c.evictLocked(k)
+		c.evictLocked()
 	}
-	c.tick++
-	e.lastUse = c.tick
+	c.touchLocked(e)
 	c.mu.Unlock()
 	if hit {
 		c.hits.Add(1)
 	}
 
 	e.once.Do(func() {
+		start := time.Now()
+		e.it, e.err = compileModule(lg, src, eng)
+		d := time.Since(start)
 		c.compiles.Add(1)
-		mod, err := gofront.CompileSource(lg, "", src)
-		if err != nil {
-			e.err = err
-			return
-		}
-		it := interp.New(mod)
-		it.Engine = eng
-		e.it = it
+		c.compileNs.Add(int64(d))
+		c.mu.Lock()
+		e.ready = true
+		e.cost = int64(d)
+		c.touchLocked(e)
+		c.mu.Unlock()
 	})
 	if e.err != nil {
 		// Failed compilations buy nothing: drop the slot so broken
@@ -150,6 +185,23 @@ func (c *ModuleCache) entry(lg gofront.Lang, src string, eng interp.Engine) (*mo
 		return nil, hit, e.err
 	}
 	return e, hit, nil
+}
+
+// compileModule builds the shared interpreter of a cache entry. VM
+// entries compile their flat code now and release the IR bodies.
+func compileModule(lg gofront.Lang, src string, eng interp.Engine) (*interp.Interp, error) {
+	mod, err := gofront.CompileSource(lg, "", src)
+	if err != nil {
+		return nil, err
+	}
+	it := interp.New(mod)
+	it.Engine = eng
+	if eng == interp.EngineVM {
+		if err := it.Flatten(); err != nil {
+			return nil, err
+		}
+	}
+	return it, nil
 }
 
 // Program compiles src under lg (or reuses the cached module with the
@@ -182,27 +234,35 @@ func (c *ModuleCache) Program(lg gofront.Lang, src, fn string, eng interp.Engine
 	return proto.Instance(), hit, nil
 }
 
-// evictLocked drops least-recently-used entries (other than keep) until
-// the cache fits its capacity. Callers hold c.mu.
-func (c *ModuleCache) evictLocked(keep moduleKey) {
+// touchLocked records an access to e. Callers hold c.mu.
+func (c *ModuleCache) touchLocked(e *moduleEntry) {
+	c.tick++
+	e.lastUse = c.tick
+	e.credit = c.floor + e.cost
+}
+
+// evictLocked drops the lowest-credit ready entries until the cache
+// fits its capacity, or only in-flight compiles remain above it.
+// Callers hold c.mu.
+func (c *ModuleCache) evictLocked() {
 	max := c.MaxModules
 	if max <= 0 {
 		max = DefaultMaxModules
 	}
 	for len(c.entries) > max {
-		var oldest moduleKey
-		var oldestUse int64 = -1
+		var vk moduleKey
+		var v *moduleEntry
 		for k, e := range c.entries {
-			if k == keep {
-				continue
-			}
-			if oldestUse < 0 || e.lastUse < oldestUse {
-				oldest, oldestUse = k, e.lastUse
+			if e.ready && (v == nil || e.credit < v.credit ||
+				e.credit == v.credit && e.lastUse < v.lastUse) {
+				vk, v = k, e
 			}
 		}
-		if oldestUse < 0 {
+		if v == nil {
 			return
 		}
-		delete(c.entries, oldest)
+		c.floor = v.credit
+		delete(c.entries, vk)
+		c.evictions.Add(1)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -287,5 +288,45 @@ func TestPipelineJobErrors(t *testing.T) {
 			Bounds: []opt.Bound{{Lo: -100, Hi: 100}}}})
 	if r.Error != "" || r.Analysis != "coverage" {
 		t.Errorf("alias job: %+v", r)
+	}
+}
+
+// TestLanesBounded is the regression test for the unbounded lanes
+// knob: a 50-eval job asking for 2^22 lanes once built a monitor bank
+// 2^22 wide up front (~200 MB). The bank now grows only as wide as the
+// sweeps actually submitted, so the job allocates what a 16-lane job
+// does, and — per the batch contract — its result is byte-identical.
+func TestLanesBounded(t *testing.T) {
+	src := loadFixtures(t)["fig2.fpl"]
+	bounds := []opt.Bound{{Lo: -100, Hi: 100}}
+	jobs := map[string]pipeline.Job{
+		"bva/builtin": {Builtin: "fig2", Spec: analysis.Spec{Analysis: "bva", Seed: 1, Evals: 50}},
+		"bva/vm":      {Source: src, Func: "prog", Spec: analysis.Spec{Analysis: "bva", Seed: 1, Evals: 50, Bounds: bounds}},
+		"reach/vm": {Source: src, Func: "prog", Spec: analysis.Spec{Analysis: "reach", Seed: 1, Evals: 50, Starts: 2,
+			Bounds: bounds, Path: []instrument.Decision{{Site: 0, Taken: true}}}},
+	}
+	pl := pipeline.New(1)
+	for name, j := range jobs {
+		t.Run(name, func(t *testing.T) {
+			run := func(lanes int) ([]byte, uint64) {
+				j.Spec.Lanes = lanes
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				r := pl.RunJob(context.Background(), 0, j)
+				runtime.ReadMemStats(&after)
+				if r.Error != "" {
+					t.Fatalf("lanes=%d: %s", lanes, r.Error)
+				}
+				return pipeline.NormalizeDurations(pipeline.MarshalResult(r)), after.TotalAlloc - before.TotalAlloc
+			}
+			want, _ := run(16)
+			got, alloc := run(1 << 22)
+			if alloc >= 4<<20 {
+				t.Errorf("lanes=2^22 job allocated %d bytes, want < 4 MB", alloc)
+			}
+			if string(got) != string(want) {
+				t.Errorf("lanes=2^22 result differs from lanes=16:\n%s\n%s", got, want)
+			}
+		})
 	}
 }
