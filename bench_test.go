@@ -191,21 +191,23 @@ func BenchmarkTable5_InconsistencyReplay(b *testing.B) {
 // the full budget.
 func BenchmarkAblation_StopAtZero(b *testing.B) {
 	p := progs.Fig2()
-	w := opt.Objective(p.WeakDistance(&instrument.Boundary{}))
 	cfgBase := opt.Config{MaxEvals: 20000, Bounds: []opt.Bound{{Lo: -100, Hi: 100}}}
+	// Each iteration is one analysis start, so it builds its own weak
+	// distance: a closure shared across iterations would remember the
+	// points earlier iterations executed.
 	b.Run("stop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := cfgBase
 			cfg.Seed = int64(i) + 1
 			cfg.StopAtZero = true
-			(&opt.Basinhopping{}).Minimize(w, 1, cfg)
+			(&opt.Basinhopping{}).Minimize(p.WeakDistance(&instrument.Boundary{}), 1, cfg)
 		}
 	})
 	b.Run("nostop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := cfgBase
 			cfg.Seed = int64(i) + 1
-			(&opt.Basinhopping{}).Minimize(w, 1, cfg)
+			(&opt.Basinhopping{}).Minimize(p.WeakDistance(&instrument.Boundary{}), 1, cfg)
 		}
 	})
 }
@@ -237,7 +239,6 @@ func BenchmarkAblation_ULPvsReal(b *testing.B) {
 // boundary problem under equal budgets.
 func BenchmarkAblation_Backends(b *testing.B) {
 	p := progs.Fig2()
-	w := opt.Objective(p.WeakDistance(&instrument.Boundary{}))
 	for _, m := range []opt.Minimizer{
 		&opt.Basinhopping{},
 		&opt.DifferentialEvolution{InitSpan: 100},
@@ -247,7 +248,7 @@ func BenchmarkAblation_Backends(b *testing.B) {
 	} {
 		b.Run(m.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m.Minimize(w, 1, opt.Config{
+				m.Minimize(p.WeakDistance(&instrument.Boundary{}), 1, opt.Config{
 					Seed: int64(i) + 1, MaxEvals: 10000,
 					Bounds:     []opt.Bound{{Lo: -100, Hi: 100}},
 					StopAtZero: true,
@@ -261,22 +262,25 @@ func BenchmarkAblation_Backends(b *testing.B) {
 
 // BenchmarkWeakDistanceEval measures the cost of one weak-distance
 // evaluation on the native ports (the unit the MO budgets are
-// denominated in).
+// denominated in). It executes the program directly: a WeakDistance
+// closure called on one fixed input would execute it once and then
+// only return the remembered value.
 func BenchmarkWeakDistanceEval(b *testing.B) {
 	cases := []struct {
 		name string
-		w    func([]float64) float64
+		p    *rt.Program
+		mon  rt.Monitor
 		x    []float64
 	}{
-		{"fig2/boundary", progs.Fig2().WeakDistance(&instrument.Boundary{}), []float64{0.5}},
-		{"sin/boundary", libm.SinProgram().WeakDistance(&instrument.Boundary{}), []float64{0.5}},
-		{"bessel/overflow", gsl.BesselProgram().WeakDistance(instrument.NewOverflow()), []float64{1.5, 2.5}},
-		{"airy/overflow", gsl.AiryAiProgram().WeakDistance(instrument.NewOverflow()), []float64{-1.5}},
+		{"fig2/boundary", progs.Fig2(), &instrument.Boundary{}, []float64{0.5}},
+		{"sin/boundary", libm.SinProgram(), &instrument.Boundary{}, []float64{0.5}},
+		{"bessel/overflow", gsl.BesselProgram(), instrument.NewOverflow(), []float64{1.5, 2.5}},
+		{"airy/overflow", gsl.AiryAiProgram(), instrument.NewOverflow(), []float64{-1.5}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c.w(c.x)
+				c.p.Execute(c.mon, c.x)
 			}
 		})
 	}
@@ -603,9 +607,9 @@ func BenchmarkAblation_HighPrecisionBoundary(b *testing.B) {
 			name = "double-double"
 		}
 		b.Run(name, func(b *testing.B) {
-			w := p.WeakDistance(&instrument.Boundary{HighPrecision: hp})
 			for i := 0; i < b.N; i++ {
-				(&opt.Basinhopping{}).Minimize(opt.Objective(w), 1, opt.Config{
+				w := p.WeakDistance(&instrument.Boundary{HighPrecision: hp})
+				(&opt.Basinhopping{}).Minimize(w, 1, opt.Config{
 					Seed: int64(i) + 1, MaxEvals: 4000, StopAtZero: true,
 				})
 			}

@@ -149,7 +149,7 @@ func (r *BoundaryReport) Condition(site int, negative bool) *ConditionStats {
 // witness monitor (the §6.2 soundness check), and aggregates Table 2 /
 // Fig. 9 style statistics.
 func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *BoundaryReport {
-	wit := &instrument.BoundaryWitness{}
+	var replay witnessReplay
 	rep := &BoundaryReport{}
 	stats := map[ConditionKey]*ConditionStats{}
 	labels := map[int]string{}
@@ -203,7 +203,7 @@ func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *Boun
 			if sr.Trace == nil {
 				continue // start never ran (cancelled before launch)
 			}
-			mergeBoundaryTrace(p, sr.Trace, wit, rep, stats, labels, o)
+			mergeBoundaryTrace(p, sr.Trace, &replay, rep, stats, labels, o)
 		}
 	}
 
@@ -220,56 +220,108 @@ func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *Boun
 	return rep
 }
 
+// replayLanes is the width of the witness replay sweeps. The replay
+// runs after a start has finished, so all of its zero samples are known
+// and can fill whole sweeps whatever the search's own Lanes setting.
+const replayLanes = 16
+
+// witnessReplay is the lane bank that replays zero samples under
+// boundary witnesses, reused across the starts of one analysis.
+type witnessReplay struct {
+	wits []instrument.BoundaryWitness
+	mons []rt.Monitor
+	xs   [][]float64
+	out  []float64
+}
+
+// sweep replays xs (at most replayLanes inputs), leaving lane l's
+// witnessed sites in r.wits[l].
+func (r *witnessReplay) sweep(p *rt.Program, xs [][]float64) {
+	if r.mons == nil {
+		r.wits = make([]instrument.BoundaryWitness, replayLanes)
+		r.mons = make([]rt.Monitor, replayLanes)
+		for l := range r.mons {
+			r.mons[l] = &r.wits[l]
+		}
+		r.out = make([]float64, replayLanes)
+	}
+	p.ExecuteBatch(r.mons[:len(xs)], xs, r.out[:len(xs)])
+}
+
 // mergeBoundaryTrace folds one start's sample stream into the report:
 // count samples, attribute every exact zero to its boundary
 // condition(s) by witness replay, and maintain the Fig. 9 progress
-// series.
-func mergeBoundaryTrace(p *rt.Program, tr *opt.Trace, wit *instrument.BoundaryWitness,
+// series. The zeros are replayed in lane sweeps of replayLanes; the
+// batch contract makes each lane's witness exactly what a serial
+// replay would leave, and the fold consumes them in sample order.
+func mergeBoundaryTrace(p *rt.Program, tr *opt.Trace, r *witnessReplay,
 	rep *BoundaryReport, stats map[ConditionKey]*ConditionStats, labels map[int]string,
 	o BoundaryOptions) {
-	for _, smp := range tr.Samples() {
-		rep.Samples++
-		if smp.F != 0 {
-			continue
+	samples := tr.Samples()
+	for len(samples) > 0 {
+		// Take samples up to and including the next replayLanes zeros.
+		r.xs = r.xs[:0]
+		n := 0
+		for n < len(samples) && len(r.xs) < replayLanes {
+			if samples[n].F == 0 {
+				r.xs = append(r.xs, samples[n].X)
+			}
+			n++
 		}
-		rep.BoundaryValues++
-		p.Execute(wit, smp.X)
-		sites := wit.Sites()
-		if len(sites) == 0 {
-			rep.SoundnessViolations++
-			continue
+		if len(r.xs) > 0 {
+			r.sweep(p, r.xs)
 		}
-		for _, site := range sites {
-			if o.Sites != nil && !o.Sites[site] {
+		lane := 0
+		for _, smp := range samples[:n] {
+			rep.Samples++
+			if smp.F != 0 {
 				continue
 			}
-			key := ConditionKey{Site: site, Negative: math.Signbit(smp.X[0])}
-			cs, ok := stats[key]
-			if !ok {
-				cs = &ConditionStats{
-					Key:   key,
-					Label: labels[site],
-					Min:   math.Inf(1),
-					Max:   math.Inf(-1),
-				}
-				stats[key] = cs
-				rep.Progress = append(rep.Progress, ProgressPoint{
-					Samples:    rep.Samples,
-					Conditions: len(stats),
-				})
+			rep.BoundaryValues++
+			sites := r.wits[lane].Sites()
+			lane++
+			if len(sites) == 0 {
+				rep.SoundnessViolations++
+				continue
 			}
-			cs.Hits++
-			if v := smp.X[0]; v < cs.Min {
-				cs.Min = v
+			foldBoundaryValue(rep, stats, labels, o, smp.X, sites)
+		}
+		samples = samples[n:]
+	}
+}
+
+// foldBoundaryValue attributes one replayed boundary value x to the
+// condition groups of the sites its witness hit.
+func foldBoundaryValue(rep *BoundaryReport, stats map[ConditionKey]*ConditionStats,
+	labels map[int]string, o BoundaryOptions, x []float64, sites []int) {
+	for _, site := range sites {
+		if o.Sites != nil && !o.Sites[site] {
+			continue
+		}
+		key := ConditionKey{Site: site, Negative: math.Signbit(x[0])}
+		cs, ok := stats[key]
+		if !ok {
+			cs = &ConditionStats{
+				Key:   key,
+				Label: labels[site],
+				Min:   math.Inf(1),
+				Max:   math.Inf(-1),
 			}
-			if v := smp.X[0]; v > cs.Max {
-				cs.Max = v
-			}
-			if len(cs.Examples) < o.keep() {
-				x := make([]float64, len(smp.X))
-				copy(x, smp.X)
-				cs.Examples = append(cs.Examples, x)
-			}
+			stats[key] = cs
+			rep.Progress = append(rep.Progress, ProgressPoint{
+				Samples:    rep.Samples,
+				Conditions: len(stats),
+			})
+		}
+		cs.Hits++
+		if v := x[0]; v < cs.Min {
+			cs.Min = v
+		}
+		if v := x[0]; v > cs.Max {
+			cs.Max = v
+		}
+		if len(cs.Examples) < o.keep() {
+			cs.Examples = append(cs.Examples, append([]float64(nil), x...))
 		}
 	}
 }

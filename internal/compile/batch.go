@@ -56,6 +56,9 @@ type BatchMachine struct {
 	// Failures collects assertion violations when no OnAssertFailure
 	// sink is installed.
 	Failures []AssertFailure
+	// IgnoreAsserts skips violated assertions without building a
+	// failure record, for callers that never read one.
+	IgnoreAsserts bool
 
 	k      int               // lane capacity: columns per register row
 	rows   int               // allocated register rows
@@ -969,6 +972,9 @@ func (vm *BatchMachine) runGroup(mons []rt.Monitor, g bgroup, xs [][]float64, ou
 			steps += int(top.extra) // mov fused into the call site
 			continue
 		case opAssert:
+			if vm.IgnoreAsserts {
+				break
+			}
 			so := (base + int(in.a)) * k
 			s := br[so+lo : so+hi]
 			pm := vm.perm[lo:hi][:len(s)]

@@ -63,6 +63,9 @@ type Machine struct {
 	// Failures collects assertion violations when no OnAssertFailure
 	// sink is installed.
 	Failures []AssertFailure
+	// IgnoreAsserts skips violated assertions without building a
+	// failure record, for callers that never read one.
+	IgnoreAsserts bool
 
 	fr    []float64 // float frame arena; an activation occupies [base, base+nregs)
 	br    []bool    // bool frame arena, parallel to fr
@@ -385,7 +388,7 @@ func (vm *Machine) exec(mon rt.Monitor, fn *Func) (float64, status) {
 			steps += int(top.extra) // mov fused into the call site
 			continue
 		case opAssert:
-			if !br[in.a] {
+			if !br[in.a] && !vm.IgnoreAsserts {
 				info := vm.mod.asserts[in.site]
 				fail := AssertFailure{
 					Pos:   info.pos,

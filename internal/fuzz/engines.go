@@ -214,6 +214,12 @@ func CheckEngines(src, fn string, inputs [][]float64, c EngineCheck) []Violation
 	if err != nil {
 		return nil
 	}
+	return CheckModule(mod, src, fn, inputs, c)
+}
+
+// CheckModule is CheckEngines over a module some frontend has already
+// compiled; src labels the violations and is what the tamper hooks see.
+func CheckModule(mod *ir.Module, src, fn string, inputs [][]float64, c EngineCheck) []Violation {
 	if mod.Func(fn) == nil {
 		return nil
 	}

@@ -162,7 +162,10 @@ type BoundaryWitness struct {
 
 // Reset implements rt.Monitor.
 func (m *BoundaryWitness) Reset() {
-	m.hits = make(map[int]int)
+	if m.hits == nil {
+		m.hits = make(map[int]int)
+	}
+	clear(m.hits)
 	m.order = m.order[:0]
 }
 
@@ -188,7 +191,8 @@ func (m *BoundaryWitness) Value() float64 {
 	return 1
 }
 
-// Hits returns the per-site equality counts of the last execution.
+// Hits returns the per-site equality counts of the last execution. The
+// map is reused by the next Reset.
 func (m *BoundaryWitness) Hits() map[int]int { return m.hits }
 
 // Sites returns the boundary sites hit, in first-hit order.

@@ -89,8 +89,11 @@ type Interp struct {
 	Engine Engine
 
 	// Failures collects assertion violations across runs (reset by
-	// ClearFailures). Useful for the Fig. 1 style analyses.
+	// ClearFailures). Useful for the Fig. 1 style analyses. Forks made
+	// by a program's NewInstance record none.
 	Failures []AssertFailure
+
+	fork bool // a NewInstance copy: violated asserts are not recorded
 
 	compiled *compile.Module  // lazily compiled flat code, shared by forks
 	vm       *compile.Machine // reusable machine for uninstrumented Run
@@ -153,7 +156,8 @@ func treeFunc(fn *ir.Func) error {
 }
 
 // Program wraps the named function as an instrumentable rt.Program.
-// The returned program shares the interpreter (and its failure log).
+// The returned program shares the interpreter (and its failure log);
+// its instances run on forks that log no failures.
 func (it *Interp) Program(fnName string) (*rt.Program, error) {
 	fn := it.Mod.Func(fnName)
 	if fn == nil {
@@ -175,6 +179,7 @@ func (it *Interp) Program(fnName string) (*rt.Program, error) {
 		}
 		cfn := cm.Func(fnName)
 		vm := cm.NewMachine()
+		vm.IgnoreAsserts = it.fork
 		vm.OnAssertFailure = func(f AssertFailure) {
 			it.Failures = append(it.Failures, f)
 		}
@@ -192,6 +197,7 @@ func (it *Interp) Program(fnName string) (*rt.Program, error) {
 		runBatch = func(mons []rt.Monitor, xs [][]float64, out []float64) {
 			if bvm == nil || bvm.K() < len(xs) {
 				bvm = cm.NewBatchMachine(len(xs))
+				bvm.IgnoreAsserts = it.fork
 				bvm.OnAssertFailure = func(f AssertFailure) {
 					it.Failures = append(it.Failures, f)
 				}
@@ -213,14 +219,16 @@ func (it *Interp) Program(fnName string) (*rt.Program, error) {
 		// The module (and its compiled flat code) is immutable, but the
 		// executing machinery is not (frame arena, step counter, failure
 		// log), so a concurrent-safe instance wraps a fresh interpreter
-		// over the same module. Failures recorded during parallel
-		// searches land on the instance and are discarded with it.
+		// over the same module. Nothing reads an instance's failure
+		// log, so forks keep none: a search evaluating a failing
+		// assertion would otherwise copy its input on every run.
 		NewInstance: func() *rt.Program {
 			fork := &Interp{
 				Mod:      it.Mod,
 				MaxSteps: it.MaxSteps,
 				Engine:   it.Engine,
 				compiled: it.compiled,
+				fork:     true,
 			}
 			p, err := fork.Program(fnName)
 			if err != nil {
@@ -397,7 +405,7 @@ func (it *Interp) call(ctx *rt.Ctx, fn *ir.Func, args []float64, max int) float6
 			}
 			return 0
 		case ir.Assert:
-			if !bregs[in.A] {
+			if !bregs[in.A] && !it.fork {
 				it.Failures = append(it.Failures, AssertFailure{
 					Pos:   in.Pos,
 					Label: in.Label,

@@ -5,8 +5,13 @@ import (
 )
 
 // latticePolish is a discrete descent on the float64 lattice: from the
-// best point found so far it walks coordinate-wise in geometrically
-// growing ULP steps while the objective improves. Continuous minimizers
+// evaluator-wide best point (e.bestX, the best of the whole search, not
+// the calling phase's own minimum) it walks coordinate-wise in
+// geometrically growing ULP steps while the objective improves. A
+// caller that polishes after every phase, such as a basin-hopping hop
+// that did not improve the best, therefore re-probes the same ±1-ULP
+// neighbours each time; rt.Program.WeakDistance remembers recent inputs so
+// those repeats do not re-execute the program. Continuous minimizers
 // converge to within a few hundred ULPs of a weak-distance zero but
 // rarely land on it exactly; because floating-point analysis problems
 // live on the discrete lattice F^N (Def. 2.1), this final discrete phase

@@ -331,7 +331,7 @@ func (s *stubStore) JobSubmitted(id string, jobs []pipeline.Job, timeout time.Du
 	}
 	return nil
 }
-func (s *stubStore) JobStarted(string) error                          { return nil }
+func (s *stubStore) JobStarted(string) error                           { return nil }
 func (s *stubStore) ResultAppended(string, int, json.RawMessage) error { return nil }
 func (s *stubStore) JobTerminal(string, pipeline.JobStatus, string, time.Time) error {
 	return nil

@@ -123,7 +123,7 @@ func TestViewCursorMonotoneDuringExecution(t *testing.T) {
 		if v.Status == JobRunning {
 			// Probing past the end must not error, return results, or
 			// lose the probe's position.
-			probe := rec.View(cursor + 100, 3)
+			probe := rec.View(cursor+100, 3)
 			if len(probe.Results) != 0 {
 				t.Fatalf("probe past end returned %d results", len(probe.Results))
 			}
@@ -215,7 +215,7 @@ func TestSweepPinnedByLiveSubscriber(t *testing.T) {
 	}()
 	<-emitted
 
-	time.Sleep(3 * eng.TTL) // well past the TTL
+	time.Sleep(3 * eng.TTL)            // well past the TTL
 	if _, ok := eng.Get(rec.ID); !ok { // Get runs the sweep
 		t.Fatal("finished job evicted by the TTL sweep while a subscriber was mid-replay")
 	}

@@ -330,3 +330,32 @@ func TestLanesBounded(t *testing.T) {
 		})
 	}
 }
+
+// TestAssertFailuresNotLogged checks that the program instances an
+// analysis searches over keep no assertion-failure log: a bva job on a
+// source whose assert fails on most inputs allocates about what the
+// same job allocates with the assert line removed.
+func TestAssertFailuresNotLogged(t *testing.T) {
+	src := loadFixtures(t)["assertion.fpl"]
+	noAssert := strings.Replace(src, "assert(y < 0.25);", "", 1)
+	if noAssert == src {
+		t.Fatal("assertion.fpl has no assert line to remove")
+	}
+	pl := pipeline.New(1)
+	alloc := func(src string) uint64 {
+		j := pipeline.Job{Source: src, Func: "prog",
+			Spec: analysis.Spec{Analysis: "bva", Seed: 1, Starts: 1, Evals: 100000}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := pl.RunBatch(context.Background(), []pipeline.Job{j})
+		runtime.ReadMemStats(&after)
+		if r[0].Error != "" {
+			t.Fatal(r[0].Error)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	with, without := alloc(src), alloc(noAssert)
+	if float64(with) > 1.05*float64(without) {
+		t.Errorf("bva job allocated %d bytes with the assert, %d without: want within 5%%", with, without)
+	}
+}

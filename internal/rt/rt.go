@@ -12,6 +12,7 @@
 package rt
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/fp"
@@ -21,7 +22,13 @@ import (
 // accumulates the weak-distance value w. Implementations live in
 // internal/instrument.
 type Monitor interface {
-	// Reset prepares the monitor for a fresh execution.
+	// Reset prepares the monitor for a fresh execution. It must clear
+	// every piece of per-run state, so that the weak distance of one
+	// execution is a function of its input alone: Program.WeakDistance
+	// relies on that to return a remembered value instead of executing
+	// an input again. A monitor may read state fixed for its lifetime
+	// (a target path, a covered-set snapshot) but must not carry
+	// anything from one run into the next.
 	Reset()
 	// Branch observes a conditional `a op b` at the given site just
 	// before it executes.
@@ -200,10 +207,89 @@ func (p *Program) ExecuteBatch(mons []Monitor, xs [][]float64, out []float64) {
 //	double W(double x1, ..., xN) { w = w_init; Prog_w(x...); return w; }
 //
 // construction (Algorithm 2 step 1 / Algorithm 3 step 3).
+//
+// The closure executes each distinct input at most once while it
+// remains among the last few it executed: a small direct-mapped table,
+// keyed by the exact bits of every coordinate (so +0/-0, NaN payloads
+// and adjacent ULPs stay distinct), returns the stored W on a repeat.
+// Minimizers re-probe points often — lattice polishing revisits the
+// same ±1-ULP neighbours after every hop that fails to improve — and
+// every probe is a program execution. This relies on W being a pure
+// function of x for the life of the closure: Monitor.Reset clears all
+// per-run state and the program is deterministic per run. After a
+// repeat the monitor still holds the state of the last input that was
+// actually executed, so callers that inspect a monitor after W must
+// call Execute themselves. The table is allocated on the first call;
+// later calls allocate nothing.
 func (p *Program) WeakDistance(m Monitor) func(x []float64) float64 {
+	var c memo
 	return func(x []float64) float64 {
-		return p.Execute(m, x)
+		i, hit := c.lookup(x)
+		if hit {
+			return c.vals[i]
+		}
+		w := p.Execute(m, x)
+		c.store(i, x, w)
+		return w
 	}
+}
+
+// memoBits sizes WeakDistance's table at 1<<memoBits entries. Repeats
+// come at short reuse distances (95% within 64 evaluations on the
+// search benchmark); past 64 entries the hit rate barely grows while
+// the per-closure table grows with every start of every analysis.
+const memoBits = 6
+
+// memo is WeakDistance's table of recently executed inputs: entry i
+// holds the input bits keys[i*dim:(i+1)*dim] and its weak distance
+// vals[i], valid when used[i].
+type memo struct {
+	dim  int
+	keys []uint64
+	vals []float64
+	used []bool
+}
+
+// lookup returns x's slot and whether it holds x. A slot of -1 means x
+// cannot be remembered (its length differs from the first input's).
+func (c *memo) lookup(x []float64) (int, bool) {
+	if c.keys == nil {
+		c.dim = len(x)
+		c.keys = make([]uint64, c.dim<<memoBits)
+		c.vals = make([]float64, 1<<memoBits)
+		c.used = make([]bool, 1<<memoBits)
+	}
+	if len(x) != c.dim {
+		return -1, false
+	}
+	var h uint64
+	for _, v := range x {
+		h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
+	}
+	i := int(h >> (64 - memoBits))
+	if !c.used[i] {
+		return i, false
+	}
+	key := c.keys[i*c.dim : (i+1)*c.dim]
+	for j, v := range x {
+		if key[j] != math.Float64bits(v) {
+			return i, false
+		}
+	}
+	return i, true
+}
+
+// store remembers w as the weak distance of x in slot i.
+func (c *memo) store(i int, x []float64, w float64) {
+	if i < 0 {
+		return
+	}
+	key := c.keys[i*c.dim : (i+1)*c.dim]
+	for j, v := range x {
+		key[j] = math.Float64bits(v)
+	}
+	c.vals[i] = w
+	c.used[i] = true
 }
 
 // stopExecution is the sentinel panic used to abort a run when a monitor

@@ -133,3 +133,100 @@ func TestFig1Motivating(t *testing.T) {
 		t.Errorf("sanity: 0.9999999999999999 should be the predecessor of 1")
 	}
 }
+
+// echoMonitor reports the first operand of the last branch as the weak
+// distance, so W(x) = x[0] bit for bit.
+type echoMonitor struct{ w float64 }
+
+func (m *echoMonitor) Reset()                                 { m.w = -1 }
+func (m *echoMonitor) Branch(_ int, _ fp.CmpOp, a, _ float64) { m.w = a }
+func (m *echoMonitor) FPOp(int, float64) bool                 { return false }
+func (m *echoMonitor) Value() float64                         { return m.w }
+
+// echoProgram returns a one-input program whose Run calls are counted.
+func echoProgram(runs *int) *rt.Program {
+	return &rt.Program{
+		Name: "echo",
+		Dim:  1,
+		Run: func(ctx *rt.Ctx, in []float64) {
+			*runs++
+			ctx.Cmp(0, fp.LT, in[0], 0)
+		},
+	}
+}
+
+func TestWeakDistanceRepeatExecutesOnce(t *testing.T) {
+	var runs int
+	w := echoProgram(&runs).WeakDistance(&echoMonitor{})
+	for i := 0; i < 5; i++ {
+		if got := w([]float64{2.5}); got != 2.5 {
+			t.Fatalf("W(2.5) = %v", got)
+		}
+	}
+	if runs != 1 {
+		t.Errorf("5 calls on one input ran the program %d times, want 1", runs)
+	}
+}
+
+func TestWeakDistanceKeysAreExactBits(t *testing.T) {
+	one := 1.0
+	pairs := [][2]float64{
+		{0, math.Copysign(0, -1)},
+		{math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)},
+		{one, math.Nextafter(one, 2)},
+		{one, math.Nextafter(one, 0)},
+	}
+	for _, pr := range pairs {
+		var runs int
+		w := echoProgram(&runs).WeakDistance(&echoMonitor{})
+		for i, x := range pr {
+			got := w([]float64{x})
+			if math.Float64bits(got) != math.Float64bits(x) {
+				t.Errorf("W(%#x) returned %#x", math.Float64bits(x), math.Float64bits(got))
+			}
+			if runs != i+1 {
+				t.Errorf("input %#x after %#x was not executed", math.Float64bits(x), math.Float64bits(pr[0]))
+			}
+		}
+	}
+}
+
+func TestWeakDistanceCollisionEvicts(t *testing.T) {
+	var runs int
+	w := echoProgram(&runs).WeakDistance(&echoMonitor{})
+	a := 1.0
+	w([]float64{a})
+	// Find an input sharing a's slot: after it runs, a runs again.
+	var b float64
+	for i := 1; i < 1<<16 && b == 0; i++ {
+		cand := a + float64(i)
+		w([]float64{cand})
+		before := runs
+		if got := w([]float64{a}); got != a {
+			t.Fatalf("W(a) = %v after W(%v), want %v", got, cand, a)
+		}
+		if runs > before {
+			b = cand
+		}
+	}
+	if b == 0 {
+		t.Fatal("no input collided with a")
+	}
+	// a now holds the slot; b must run again and return its own value.
+	before := runs
+	if got := w([]float64{b}); got != b || runs != before+1 {
+		t.Errorf("W(b) = %v with %d runs, want %v from 1 run", got, runs-before, b)
+	}
+}
+
+func TestWeakDistanceMonitorHoldsLastExecuted(t *testing.T) {
+	var runs int
+	mon := &echoMonitor{}
+	w := echoProgram(&runs).WeakDistance(mon)
+	w([]float64{3})
+	w([]float64{4})
+	w([]float64{3}) // remembered: not executed
+	if runs != 2 || mon.w != 4 {
+		t.Errorf("runs = %d, monitor holds %v; want 2 runs and the last executed input 4", runs, mon.w)
+	}
+}

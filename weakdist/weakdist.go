@@ -22,6 +22,15 @@
 // execution witnesses the analysis target. The provided monitors are
 // Boundary, Path, Overflow, Coverage, and Characteristic.
 //
+// User Programs and Monitors must be deterministic per run: a
+// Program's Run depends only on its input, and a Monitor's Reset
+// clears every piece of per-run state, so the weak distance of an
+// execution is a function of the input alone. Program.WeakDistance
+// relies on this to skip re-executing an input it ran recently. After
+// such a repeat the monitor still holds the state of the last input
+// actually executed, so inspect a monitor only after calling
+// Program.Execute.
+//
 // Solve (Algorithm 2) minimizes any weak distance with a Minimizer
 // backend (Basinhopping by default) and re-verifies candidate solutions
 // with a user-supplied membership oracle. The higher-level entry points
