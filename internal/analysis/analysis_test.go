@@ -271,7 +271,7 @@ func TestCoverFig2(t *testing.T) {
 	}
 	// Each recorded input must actually take its side when replayed.
 	for side, in := range rep.Inputs {
-		rec := &instrument.RecordNewSides{Covered: map[instrument.Side]bool{}}
+		rec := &instrument.RecordNewSides{}
 		progs.Fig2().Execute(rec, in)
 		found := false
 		for _, s := range rec.Sides() {

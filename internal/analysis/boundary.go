@@ -158,10 +158,10 @@ func BoundaryValues(ctx context.Context, p *rt.Program, o BoundaryOptions) *Boun
 	}
 
 	// Every restart is independent: run them on the worker pool, each
-	// with its own program instance, monitor, and trace, then fold the
-	// traces in start order — the exact sample stream the serial loop
-	// produced. Starts run in worker-sized batches so that at most one
-	// batch of traces is retained at a time (the fold is a pure
+	// with its own program instance, monitor, and zero trace, then fold
+	// the traces in start order — the exact sample stream the serial
+	// loop produced. Starts run in worker-sized batches so that at most
+	// one batch of traces is retained at a time (the fold is a pure
 	// concatenation in start order, so batching never changes the
 	// report; Workers=1 keeps the serial loop's one-trace peak).
 	batchSize := o.Workers
@@ -248,46 +248,39 @@ func (r *witnessReplay) sweep(p *rt.Program, xs [][]float64) {
 	p.ExecuteBatch(r.mons[:len(xs)], xs, r.out[:len(xs)])
 }
 
-// mergeBoundaryTrace folds one start's sample stream into the report:
-// count samples, attribute every exact zero to its boundary
-// condition(s) by witness replay, and maintain the Fig. 9 progress
-// series. The zeros are replayed in lane sweeps of replayLanes; the
-// batch contract makes each lane's witness exactly what a serial
-// replay would leave, and the fold consumes them in sample order.
+// mergeBoundaryTrace folds one start's trace into the report: count
+// its samples, attribute every exact zero to its boundary condition(s)
+// by witness replay, and maintain the Fig. 9 progress series. The trace
+// holds only the zeros, each with its position in the start's sample
+// stream, so the sample count at a zero is base + N. The zeros are
+// replayed in lane sweeps of replayLanes; the batch contract makes each
+// lane's witness exactly what a serial replay would leave, and the fold
+// consumes them in sample order.
 func mergeBoundaryTrace(p *rt.Program, tr *opt.Trace, r *witnessReplay,
 	rep *BoundaryReport, stats map[ConditionKey]*ConditionStats, labels map[int]string,
 	o BoundaryOptions) {
-	samples := tr.Samples()
-	for len(samples) > 0 {
-		// Take samples up to and including the next replayLanes zeros.
+	base := rep.Samples
+	zeros := tr.Samples()
+	for len(zeros) > 0 {
+		n := min(len(zeros), replayLanes)
 		r.xs = r.xs[:0]
-		n := 0
-		for n < len(samples) && len(r.xs) < replayLanes {
-			if samples[n].F == 0 {
-				r.xs = append(r.xs, samples[n].X)
-			}
-			n++
+		for _, smp := range zeros[:n] {
+			r.xs = append(r.xs, smp.X)
 		}
-		if len(r.xs) > 0 {
-			r.sweep(p, r.xs)
-		}
-		lane := 0
-		for _, smp := range samples[:n] {
-			rep.Samples++
-			if smp.F != 0 {
-				continue
-			}
+		r.sweep(p, r.xs)
+		for lane, smp := range zeros[:n] {
+			rep.Samples = base + smp.N
 			rep.BoundaryValues++
 			sites := r.wits[lane].Sites()
-			lane++
 			if len(sites) == 0 {
 				rep.SoundnessViolations++
 				continue
 			}
 			foldBoundaryValue(rep, stats, labels, o, smp.X, sites)
 		}
-		samples = samples[n:]
+		zeros = zeros[n:]
 	}
+	rep.Samples = base + tr.Len()
 }
 
 // foldBoundaryValue attributes one replayed boundary value x to the

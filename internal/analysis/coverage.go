@@ -101,7 +101,7 @@ func (r *CoverReport) Ratio() float64 {
 // minimizing the coverage weak distance, which is zero exactly on
 // inputs taking some branch side outside B.
 func Cover(ctx context.Context, p *rt.Program, o CoverOptions) *CoverReport {
-	covered := map[instrument.Side]bool{}
+	covered := &instrument.SideSet{}
 	rep := &CoverReport{
 		Total:  2 * len(p.Branches),
 		Inputs: map[instrument.Side][]float64{},
@@ -110,7 +110,9 @@ func Cover(ctx context.Context, p *rt.Program, o CoverOptions) *CoverReport {
 	backend := o.backend()
 	rec := &instrument.RecordNewSides{Covered: covered}
 	stall := 0
-	for stall < o.maxStall() && len(covered) < rep.Total {
+	// rep.Covered gains exactly the sides added to covered, so its
+	// length is the covered count.
+	for stall < o.maxStall() && len(rep.Covered) < rep.Total {
 		if ctx.Err() != nil {
 			rep.Canceled = true
 			break
@@ -118,10 +120,7 @@ func Cover(ctx context.Context, p *rt.Program, o CoverOptions) *CoverReport {
 		// Launch a batch of speculative rounds against a read-only
 		// snapshot of the covered set. Slot j corresponds to serial
 		// round rep.Rounds+1+j and uses that round's historical seed.
-		snapshot := make(map[instrument.Side]bool, len(covered))
-		for s := range covered {
-			snapshot[s] = true
-		}
+		snapshot := covered.Clone()
 		batch := opt.ParallelStarts(backend, func(int) opt.Objective {
 			inst := p.Instance()
 			mon := &instrument.Coverage{Covered: snapshot, ULP: o.ULP}
@@ -177,7 +176,7 @@ func Cover(ctx context.Context, p *rt.Program, o CoverOptions) *CoverReport {
 			}
 			stall = 0
 			for _, s := range sides {
-				covered[s] = true
+				covered.Add(s)
 				rep.Covered = append(rep.Covered, s)
 				in := make([]float64, len(sr.X))
 				copy(in, sr.X)

@@ -52,8 +52,10 @@ type CrashOptions struct {
 	// into every recovery round's journal — exercising the engine's
 	// retry/backoff path. 0 disables.
 	FaultProb float64
-	// Tamper corrupts one golden expectation before comparing: the
-	// self-test proving the oracle detects divergent recoveries.
+	// Tamper corrupts every golden expectation before comparing, and
+	// ends the campaign with one extra round over the whole golden log
+	// so that every job is recovered and compared: the self-test
+	// proving the oracle detects divergent recoveries.
 	Tamper bool
 	// Dir is the scratch directory for journals (emptied per round);
 	// empty uses a temp dir removed at the end.
@@ -210,6 +212,16 @@ func RunCrash(o CrashOptions) *CrashResult {
 		if o.Progress != nil {
 			o.Progress(r+1, o.rounds())
 		}
+	}
+	if o.Tamper {
+		// The golden log's length varies from run to run, so every
+		// seeded offset can land before the first complete submit
+		// record; then nothing is recovered and the tampered
+		// expectation is never compared. One more round over the whole
+		// log recovers, and compares, every job.
+		res.Rounds++
+		res.Violations = append(res.Violations,
+			o.recoverRound(dir, o.rounds(), logBytes, expect, res)...)
 	}
 	return res
 }

@@ -75,7 +75,7 @@ func ReplayFindings(p *rt.Program, spec analysis.Spec, rep analysis.Report) []Vi
 				add(fmt.Sprintf("coverage: covered side %d:%v has no recorded input", side.Site, side.Taken), nil)
 				continue
 			}
-			rec := &instrument.RecordNewSides{Covered: map[instrument.Side]bool{}}
+			rec := &instrument.RecordNewSides{}
 			p.Instance().Execute(rec, x)
 			hit := false
 			for _, s := range rec.Sides() {

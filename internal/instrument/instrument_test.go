@@ -2,6 +2,7 @@ package instrument_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -242,8 +243,8 @@ func TestCoverageMonitor(t *testing.T) {
 	}
 	// Cover the both-true sides; an input taking them again gets a
 	// positive distance toward flipping.
-	m.Covered[instrument.Side{Site: progs.Fig2BranchX, Taken: true}] = true
-	m.Covered[instrument.Side{Site: progs.Fig2BranchY, Taken: true}] = true
+	m.Covered.Add(instrument.Side{Site: progs.Fig2BranchX, Taken: true})
+	m.Covered.Add(instrument.Side{Site: progs.Fig2BranchY, Taken: true})
 	if got := p.Execute(m, []float64{0}); got <= 0 {
 		t.Errorf("W = %v, want > 0 (both sides already covered)", got)
 	}
@@ -262,7 +263,7 @@ func TestCoverageFullyCoveredFloor(t *testing.T) {
 		{Site: progs.Fig2BranchY, Taken: true},
 		{Site: progs.Fig2BranchY, Taken: false},
 	} {
-		m.Covered[s] = true
+		m.Covered.Add(s)
 	}
 	// Everything covered: W must stay positive everywhere (S = ∅).
 	for _, x := range []float64{0, 1, 5, -3, 2} {
@@ -274,9 +275,9 @@ func TestCoverageFullyCoveredFloor(t *testing.T) {
 
 func TestRecordNewSides(t *testing.T) {
 	p := progs.Fig2()
-	rec := &instrument.RecordNewSides{Covered: map[instrument.Side]bool{
-		{Site: progs.Fig2BranchX, Taken: true}: true,
-	}}
+	covered := &instrument.SideSet{}
+	covered.Add(instrument.Side{Site: progs.Fig2BranchX, Taken: true})
+	rec := &instrument.RecordNewSides{Covered: covered}
 	p.Execute(rec, []float64{0})
 	sides := rec.Sides()
 	if len(sides) != 1 || sides[0] != (instrument.Side{Site: progs.Fig2BranchY, Taken: true}) {
@@ -432,4 +433,58 @@ func TestPathWitnessAgreesWithPathMonitor(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestSideSetMatchesMap is a randomized differential of SideSet against
+// the map[Side]bool it replaces: Add, Has and Clear agree on every
+// side, and a Clone is an independent copy in both directions.
+func TestSideSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const sites = 150 // spans several words
+	check := func(what string, set *instrument.SideSet, ref map[instrument.Side]bool) {
+		t.Helper()
+		for site := -2; site < sites+70; site++ {
+			for _, taken := range []bool{false, true} {
+				s := instrument.Side{Site: site, Taken: taken}
+				if set.Has(s) != ref[s] {
+					t.Fatalf("%s: Has(%v) = %v, map says %v", what, s, set.Has(s), ref[s])
+				}
+			}
+		}
+	}
+	set, ref := &instrument.SideSet{}, map[instrument.Side]bool{}
+	var clones []*instrument.SideSet
+	var cloneRefs []map[instrument.Side]bool
+	for op := 0; op < 3000; op++ {
+		switch r := rng.Intn(100); {
+		case r < 85:
+			s := instrument.Side{Site: rng.Intn(sites), Taken: rng.Intn(2) == 1}
+			set.Add(s)
+			ref[s] = true
+		case r < 90:
+			set.Clear()
+			ref = map[instrument.Side]bool{}
+		case r < 95:
+			c := set.Clone()
+			cref := map[instrument.Side]bool{}
+			for s := range ref {
+				cref[s] = true
+			}
+			clones, cloneRefs = append(clones, c), append(cloneRefs, cref)
+		default:
+			if len(clones) > 0 {
+				// Writes to a clone must not reach the original.
+				i := rng.Intn(len(clones))
+				s := instrument.Side{Site: rng.Intn(sites), Taken: rng.Intn(2) == 1}
+				clones[i].Add(s)
+				cloneRefs[i][s] = true
+			}
+		}
+		check("set", set, ref)
+	}
+	for i := range clones {
+		check("clone", clones[i], cloneRefs[i])
+	}
+	var nilSet *instrument.SideSet
+	check("nil set", nilSet, nil)
 }

@@ -67,7 +67,7 @@ func (b *Basinhopping) stepScale() float64 {
 
 // Minimize implements Minimizer.
 func (b *Basinhopping) Minimize(obj Objective, dim int, cfg Config) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := newRand(cfg.Seed)
 	return b.MinimizeFrom(obj, randPoint(rng, dim, cfg), cfg)
 }
 
@@ -76,7 +76,7 @@ func (b *Basinhopping) Minimize(obj Objective, dim int, cfg Config) Result {
 // (`Basinhopping(W, s)` from a chosen starting point s).
 func (b *Basinhopping) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Result {
 	dim := len(x0)
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d))
+	rng := newRand(cfg.Seed ^ 0x5deece66d)
 	e := newEvaluator(obj, cfg, 4000*dim)
 
 	hopEvals := b.HopEvals

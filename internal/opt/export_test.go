@@ -2,4 +2,4 @@ package opt
 
 import "math/rand"
 
-func newTestRNG() *rand.Rand { return rand.New(rand.NewSource(42)) }
+func newTestRNG() *rand.Rand { return newRand(42) }

@@ -39,11 +39,12 @@ type ParallelConfig struct {
 	// lowest-index zero — the one a serial loop reports — is always
 	// discovered.
 	StopAtZero bool
-	// RecordTrace allocates a per-start Trace recording every objective
-	// evaluation of that start (merged by callers in start order).
+	// RecordTrace gives each start a Trace of its exact-zero samples
+	// (merged by callers in start order). Only zeros are stored, each
+	// with its 1-based position N in the start's evaluation stream;
+	// Trace.Len() counts every evaluation. Memory is therefore linear in
+	// the zeros found, not in the budget.
 	RecordTrace bool
-	// TraceCap bounds retained samples per start trace (0 = unlimited).
-	TraceCap int
 	// Accept, when non-nil, is consulted on every exact zero before it
 	// may drain the queue (the §5.2 membership guard: spurious zeros of
 	// a defective weak distance must not cancel the remaining starts).
@@ -97,7 +98,7 @@ type StartResult struct {
 	Start int
 	// Result is the backend's outcome; zero-valued when Skipped.
 	Result
-	// Trace holds the start's samples when RecordTrace was set.
+	// Trace holds the start's zero samples when RecordTrace was set.
 	Trace *Trace
 	// Skipped reports that the start was drained before running: an
 	// accepted zero at a lower index made it unreachable for the
@@ -174,7 +175,7 @@ func ParallelStarts(backend Minimizer, objective func(start int) Objective, dim 
 				}
 				var tr *Trace
 				if cfg.RecordTrace {
-					tr = &Trace{Cap: cfg.TraceCap}
+					tr = &Trace{zerosOnly: true}
 				}
 				obj := objective(s)
 				var batch BatchObjective

@@ -44,25 +44,65 @@ func TestParallelStartsMatchesSerialBackend(t *testing.T) {
 }
 
 // TestParallelStartsWorkerInvariance verifies the core determinism
-// contract: identical per-start results for every worker count.
+// contract: identical per-start results for every worker count. Each
+// start's full (x, f) evaluation stream is recorded by the objective
+// itself and compared, as are the zero traces RecordTrace keeps.
 func TestParallelStartsWorkerInvariance(t *testing.T) {
-	run := func(workers int) []opt.StartResult {
-		return opt.ParallelStarts(&opt.Basinhopping{}, func(int) opt.Objective { return flatAbs(9) },
-			1, opt.ParallelConfig{
-				Starts: 8, Workers: workers, Seed: 7, SeedStride: 1000003,
-				MaxEvals: 400, Bounds: []opt.Bound{{Lo: -20, Hi: 20}},
-				RecordTrace: true,
-			})
+	type eval struct {
+		x []float64
+		f float64
 	}
-	base := run(1)
+	const starts = 8
+	run := func(workers int) ([]opt.StartResult, [][]eval) {
+		streams := make([][]eval, starts)
+		res := opt.ParallelStarts(&opt.Basinhopping{}, func(s int) opt.Objective {
+			obj := flatAbs(9)
+			return func(x []float64) float64 {
+				f := obj(x)
+				streams[s] = append(streams[s], eval{append([]float64(nil), x...), f})
+				return f
+			}
+		}, 1, opt.ParallelConfig{
+			Starts: starts, Workers: workers, Seed: 7, SeedStride: 1000003,
+			MaxEvals: 400, Bounds: []opt.Bound{{Lo: -20, Hi: 20}},
+			RecordTrace: true,
+		})
+		return res, streams
+	}
+	base, baseStreams := run(1)
+	zeros := 0
+	for s := range base {
+		zeros += len(base[s].Trace.Samples())
+		if base[s].Trace.Len() != base[s].Evals {
+			t.Errorf("start %d: trace counts %d evals, result says %d", s, base[s].Trace.Len(), base[s].Evals)
+		}
+		// The zero trace is exactly the stream's zeros, at their
+		// 1-based positions in it.
+		var want []opt.Sample
+		for n, e := range baseStreams[s] {
+			if e.f == 0 {
+				want = append(want, opt.Sample{N: n + 1, X: e.x, F: e.f})
+			}
+		}
+		if !reflect.DeepEqual(base[s].Trace.Samples(), want) {
+			t.Errorf("start %d: zero trace %v, stream zeros %v", s, base[s].Trace.Samples(), want)
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("no start sampled a zero: the zero traces are not exercised")
+	}
 	for _, w := range []int{2, 8} {
-		got := run(w)
+		got, streams := run(w)
 		for s := range base {
 			if !reflect.DeepEqual(got[s].Result, base[s].Result) {
 				t.Errorf("workers=%d start %d: %+v != %+v", w, s, got[s].Result, base[s].Result)
 			}
-			if !reflect.DeepEqual(got[s].Trace.Samples(), base[s].Trace.Samples()) {
-				t.Errorf("workers=%d start %d: traces differ", w, s)
+			if !reflect.DeepEqual(streams[s], baseStreams[s]) {
+				t.Errorf("workers=%d start %d: evaluation streams differ", w, s)
+			}
+			if !reflect.DeepEqual(got[s].Trace.Samples(), base[s].Trace.Samples()) ||
+				got[s].Trace.Len() != base[s].Trace.Len() {
+				t.Errorf("workers=%d start %d: zero traces differ", w, s)
 			}
 		}
 	}

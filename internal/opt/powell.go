@@ -2,7 +2,6 @@ package opt
 
 import (
 	"math"
-	"math/rand"
 )
 
 // Powell is Powell's conjugate-direction method (Powell 1964): a local,
@@ -44,7 +43,7 @@ func (p *Powell) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Result {
 
 // Minimize implements Minimizer by starting from a random point.
 func (p *Powell) Minimize(obj Objective, dim int, cfg Config) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := newRand(cfg.Seed)
 	return p.MinimizeFrom(obj, randPoint(rng, dim, cfg), cfg)
 }
 

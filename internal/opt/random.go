@@ -1,9 +1,5 @@
 package opt
 
-import (
-	"math/rand"
-)
-
 // RandomSearch samples points independently at random. It is the
 // degenerate strategy a flat (characteristic-function) weak distance
 // forces every backend into (paper §5.3, Fig. 7, Limitation 3), included
@@ -17,7 +13,7 @@ func (r *RandomSearch) Name() string { return "RandomSearch" }
 
 // Minimize implements Minimizer.
 func (r *RandomSearch) Minimize(obj Objective, dim int, cfg Config) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x2545f4914f6cdd1d))
+	rng := newRand(cfg.Seed ^ 0x2545f4914f6cdd1d)
 	e := newEvaluator(obj, cfg, 4000*dim)
 	iters := 0
 	for !e.done() {
@@ -30,7 +26,7 @@ func (r *RandomSearch) Minimize(obj Objective, dim int, cfg Config) Result {
 // MinimizeFrom implements LocalMinimizer; the start point only provides
 // the first sample (random search has no locality).
 func (r *RandomSearch) MinimizeFrom(obj Objective, x0 []float64, cfg Config) Result {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x2545f4914f6cdd1d))
+	rng := newRand(cfg.Seed ^ 0x2545f4914f6cdd1d)
 	e := newEvaluator(obj, cfg, 4000*len(x0))
 	x := make([]float64, len(x0))
 	copy(x, x0)

@@ -3,14 +3,20 @@ package opt
 // Trace records the sampling sequence of a minimization run. The paper's
 // figures 3(c), 4(c) and 9 plot exactly this: the n-th sampled input (and
 // derived statistics) against n.
+//
+// A Trace built by ParallelStarts for RecordTrace keeps only the
+// exact-zero samples: Samples() is then the zeros in evaluation order,
+// each Sample.N still its 1-based position in the start's full stream,
+// and Len() still counts every evaluation.
 type Trace struct {
 	// Cap bounds the number of retained samples (0 = unlimited). When
 	// the cap is hit, recording keeps counting but stops storing, so
 	// Len() stays truthful while memory stays bounded.
 	Cap int
 
-	samples []Sample
-	total   int
+	zerosOnly bool
+	samples   []Sample
+	total     int
 }
 
 // Sample is one recorded objective evaluation.
@@ -22,6 +28,9 @@ type Sample struct {
 
 func (t *Trace) record(x []float64, f float64) {
 	t.total++
+	if t.zerosOnly && f != 0 {
+		return
+	}
 	if t.Cap > 0 && len(t.samples) >= t.Cap {
 		return
 	}
@@ -31,7 +40,7 @@ func (t *Trace) record(x []float64, f float64) {
 }
 
 // Len returns the total number of evaluations recorded (including any
-// beyond Cap that were counted but not stored).
+// that were counted but not stored).
 func (t *Trace) Len() int { return t.total }
 
 // Samples returns the stored samples in evaluation order.

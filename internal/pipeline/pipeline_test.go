@@ -359,3 +359,24 @@ func TestAssertFailuresNotLogged(t *testing.T) {
 		t.Errorf("bva job allocated %d bytes with the assert, %d without: want within 5%%", with, without)
 	}
 }
+
+// TestBVATraceBounded checks that a bva job's per-start trace keeps
+// only the zero samples: a 1-start, 10^5-eval job on fig2.fpl, whose
+// weak distance is zero on a tiny fraction of its samples, allocates a
+// small fraction of what a copy of every sample (about 23 MB) costs.
+func TestBVATraceBounded(t *testing.T) {
+	j := pipeline.Job{Source: loadFixtures(t)["fig2.fpl"], Func: "prog",
+		Spec: analysis.Spec{Analysis: "bva", Seed: 1, Starts: 1, Evals: 100000}}
+	pl := pipeline.New(1)
+	pl.RunBatch(context.Background(), []pipeline.Job{j}) // compile outside the measurement
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := pl.RunBatch(context.Background(), []pipeline.Job{j})
+	runtime.ReadMemStats(&after)
+	if r[0].Error != "" {
+		t.Fatal(r[0].Error)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Errorf("1-start 10^5-eval bva job allocated %d bytes, want < 4 MB", alloc)
+	}
+}
