@@ -1,14 +1,15 @@
 // Command fpserve is the batched analysis service: an HTTP front end
 // over the analysis registry and job pipeline.
 //
-// The versioned /v1 API is resource-oriented and asynchronous: register
-// FPL programs once under their content address, submit job batches
-// referencing them (or inline source), poll or stream results, and
-// cancel jobs mid-minimization — cancellation reaches the MO backends
-// within one objective evaluation. Errors are application/problem+json
-// with field-level spec-validation details. The legacy synchronous
-// /analyze endpoint is kept, wire-compatible, as a thin wrapper over
-// the same job engine. See docs/api.md for the endpoint reference.
+// Its one job surface, the versioned /v1 API, is resource-oriented and
+// asynchronous: register FPL programs once under their content
+// address, submit job batches referencing them (or inline source),
+// poll or stream results, and cancel jobs mid-minimization —
+// cancellation reaches the MO backends within one objective
+// evaluation. Errors are application/problem+json with field-level
+// spec-validation details. GET /stats and GET /healthz serve operators
+// and the coordinator's probes. See docs/api.md for the endpoint
+// reference.
 //
 // Usage:
 //

@@ -70,9 +70,6 @@ type Spec struct {
 	// identical for every value (the batch contract is bit-identity).
 	// Formula-based analyses (xsat) ignore it.
 	Lanes int `json:"lanes,omitempty"`
-	// Engine selects the FPL execution engine ("vm" or "tree"); used by
-	// the program loaders, not the analyses themselves.
-	Engine string `json:"engine,omitempty"`
 	// Path is the target decision sequence (reach).
 	Path []instrument.Decision `json:"path,omitempty"`
 	// Formula is the CNF source (xsat).

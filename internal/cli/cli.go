@@ -52,71 +52,41 @@ func Builtin(name string) (*rt.Program, error) {
 	return mk(), nil
 }
 
-// LoadFPL compiles a source file — FPL, or Go when the path ends in
-// .go — and wraps the named function (empty = sole or first function)
-// as an instrumentable program.
-func LoadFPL(path, fn string) (*interp.Interp, *rt.Program, error) {
-	return LoadSource(path, "", fn, interp.DefaultEngine)
-}
-
-// LoadFPLEngine is LoadFPL with an explicit execution engine.
-func LoadFPLEngine(path, fn string, eng interp.Engine) (*interp.Interp, *rt.Program, error) {
-	return LoadSource(path, "", fn, eng)
-}
-
 // LoadSource compiles a source file under lang ("fpl" or "go"; empty =
 // detect from the path extension, .go meaning Go) and wraps the named
-// function as an instrumentable program. Compile errors carry
-// file:line:col positions for both languages.
-func LoadSource(path, lang, fn string, eng interp.Engine) (*interp.Interp, *rt.Program, error) {
+// function (empty = first declared) as an instrumentable program.
+// Compile errors carry file:line:col positions for both languages.
+func LoadSource(path, lang, fn string) (*rt.Program, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var lg gofront.Lang
 	if lang == "" {
 		lg = gofront.DetectLang(path)
 	} else if lg, err = gofront.ParseLang(lang); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	mod, err := gofront.CompileSource(lg, path, string(src))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if fn == "" {
 		fn = mod.Order[0]
 	}
-	it := interp.New(mod)
-	it.Engine = eng
-	p, err := it.Program(fn)
-	if err != nil {
-		return nil, nil, err
-	}
-	return it, p, nil
+	return interp.New(mod).Program(fn)
 }
 
-// Resolve loads either a built-in (-builtin name) or a source file.
-func Resolve(builtin, file, fn string) (*rt.Program, error) {
-	return ResolveEngine(builtin, file, fn, interp.DefaultEngine)
-}
-
-// ResolveEngine is Resolve with an explicit execution engine for
-// source files (built-ins are native ports and ignore it).
-func ResolveEngine(builtin, file, fn string, eng interp.Engine) (*rt.Program, error) {
-	return ResolveLang(builtin, file, "", fn, eng)
-}
-
-// ResolveLang is ResolveEngine with an explicit source language (empty
-// = detect from the file extension).
-func ResolveLang(builtin, file, lang, fn string, eng interp.Engine) (*rt.Program, error) {
+// Resolve loads either a built-in (-builtin name) or a source file
+// under lang (empty = detect from the file extension).
+func Resolve(builtin, file, lang, fn string) (*rt.Program, error) {
 	switch {
 	case builtin != "" && file != "":
 		return nil, analysis.Specf("program", "", "use either -builtin or a source file, not both")
 	case builtin != "":
 		return Builtin(builtin)
 	case file != "":
-		_, p, err := LoadSource(file, lang, fn, eng)
-		return p, err
+		return LoadSource(file, lang, fn)
 	}
 	return nil, analysis.Specf("program", "", "no program: pass -builtin NAME or a source file (builtins: %s)",
 		strings.Join(BuiltinNames(), ", "))
@@ -138,8 +108,10 @@ func SFForBuiltin(name string) analysis.SFFunc {
 }
 
 // ParseBounds reads "lo:hi[,lo:hi...]" into per-dimension bounds; a
-// single pair is broadcast over dim dimensions. Errors name the
-// offending token and its position within the spec.
+// single pair is broadcast over dim dimensions. Parse errors name the
+// offending token and its position within the spec; validity (NaN,
+// lo > hi, the dimension count) is opt.BroadcastBounds', the same
+// check the /v1 surface applies.
 func ParseBounds(spec string, dim int) ([]opt.Bound, error) {
 	if spec == "" {
 		return nil, nil
@@ -159,18 +131,11 @@ func ParseBounds(spec string, dim int) ([]opt.Bound, error) {
 		if err != nil {
 			return nil, analysis.Specf("bounds", spec, "bad bound %q (pair %d of %q): upper bound %q is not a number", part, i+1, spec, strings.TrimSpace(lohi[1]))
 		}
-		if lo > hi {
-			return nil, analysis.Specf("bounds", spec, "bad bound %q (pair %d of %q): lo > hi", part, i+1, spec)
-		}
 		bs = append(bs, opt.Bound{Lo: lo, Hi: hi})
 	}
-	if len(bs) == 1 && dim > 1 {
-		for len(bs) < dim {
-			bs = append(bs, bs[0])
-		}
-	}
-	if len(bs) != dim {
-		return nil, analysis.Specf("bounds", spec, "bounds %q: %d bounds for %d dimensions", spec, len(bs), dim)
+	bs, err := opt.BroadcastBounds(bs, dim)
+	if err != nil {
+		return nil, analysis.Specf("bounds", spec, "bounds %q: %v", spec, err)
 	}
 	return bs, nil
 }

@@ -36,7 +36,7 @@ func main_prog(x double) { if (x < helper(x)) { x = x + 1.0; } }
 		t.Fatal(err)
 	}
 	// Named function.
-	_, p, err := LoadFPL(path, "main_prog")
+	p, err := LoadSource(path, "", "main_prog")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main_prog(x double) { if (x < helper(x)) { x = x + 1.0; } }
 		t.Errorf("program %q dim %d", p.Name, p.Dim)
 	}
 	// Default function: the first declared.
-	_, p2, err := LoadFPL(path, "")
+	p2, err := LoadSource(path, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,22 +54,22 @@ func main_prog(x double) { if (x < helper(x)) { x = x + 1.0; } }
 	// Errors surface with the path.
 	bad := filepath.Join(dir, "bad.fpl")
 	os.WriteFile(bad, []byte("func f(x double) { y = 1.0; }"), 0o644)
-	if _, _, err := LoadFPL(bad, ""); err == nil || !strings.Contains(err.Error(), "bad.fpl") {
+	if _, err := LoadSource(bad, "", ""); err == nil || !strings.Contains(err.Error(), "bad.fpl") {
 		t.Errorf("compile error without path context: %v", err)
 	}
-	if _, _, err := LoadFPL(filepath.Join(dir, "missing.fpl"), ""); err == nil {
+	if _, err := LoadSource(filepath.Join(dir, "missing.fpl"), "", ""); err == nil {
 		t.Error("missing file not reported")
 	}
 }
 
 func TestResolve(t *testing.T) {
-	if _, err := Resolve("fig2", "", ""); err != nil {
+	if _, err := Resolve("fig2", "", "", ""); err != nil {
 		t.Errorf("builtin resolve: %v", err)
 	}
-	if _, err := Resolve("fig2", "x.fpl", ""); err == nil {
+	if _, err := Resolve("fig2", "x.fpl", "", ""); err == nil {
 		t.Error("both sources accepted")
 	}
-	if _, err := Resolve("", "", ""); err == nil {
+	if _, err := Resolve("", "", "", ""); err == nil {
 		t.Error("no source accepted")
 	}
 }
@@ -94,7 +94,7 @@ func TestParseBounds(t *testing.T) {
 		t.Errorf("empty bounds: %v %v", bs, err)
 	}
 	// Errors.
-	for _, spec := range []string{"1", "a:b", "2:1", "-1:2,0:5,3:4"} {
+	for _, spec := range []string{"1", "a:b", "2:1", "-1:2,0:5,3:4", "nan:1", "1:nan"} {
 		if _, err := ParseBounds(spec, 2); err == nil {
 			t.Errorf("ParseBounds(%q): expected error", spec)
 		}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/interp"
 	"repro/internal/opt"
 	"repro/internal/sat"
 )
@@ -32,7 +31,6 @@ type SpecFlags struct {
 	fn      string
 	bounds  string
 	path    string
-	engine  string
 	lang    string
 	// Timeout is the -timeout wall-clock budget (0 = none). Context
 	// cancellation lands within one weak-distance evaluation, so the
@@ -51,7 +49,6 @@ func NewSpecFlags(fs *flag.FlagSet, tool string, a analysis.Analysis) *SpecFlags
 	if k.Program {
 		fs.StringVar(&sf.builtin, "builtin", "", "built-in program name ("+strings.Join(BuiltinNames(), ", ")+")")
 		fs.StringVar(&sf.fn, "func", "", "function to analyze (FPL files)")
-		fs.StringVar(&sf.engine, "engine", "", "FPL execution engine: vm or tree (default vm)")
 		fs.StringVar(&sf.lang, "lang", "", "source language: fpl or go (default: by file extension, .go = go)")
 	}
 	fs.Int64Var(&sf.spec.Seed, "seed", def.Seed, "random seed")
@@ -149,17 +146,12 @@ func (sf *SpecFlags) Resolve(args []string) (analysis.Input, analysis.Spec, erro
 		if len(args) > 0 {
 			file = args[0]
 		}
-		eng, err := interp.ParseEngine(sf.engine)
-		if err != nil {
-			return in, sf.spec, &analysis.SpecError{Field: "engine", Value: sf.engine, Reason: err.Error()}
-		}
-		p, err := ResolveLang(sf.builtin, file, sf.lang, sf.fn, eng)
+		p, err := Resolve(sf.builtin, file, sf.lang, sf.fn)
 		if err != nil {
 			return in, sf.spec, err
 		}
 		in.Program = p
 		in.SF = SFForBuiltin(sf.builtin)
-		sf.spec.Engine = eng.String()
 		dim = p.Dim
 	}
 

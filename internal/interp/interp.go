@@ -7,14 +7,16 @@
 //
 // Two execution engines back the returned programs:
 //
-//   - EngineVM (the default): internal/compile's flat-code register VM.
+//   - EngineVM (the production engine, which New installs):
+//     internal/compile's flat-code register VM.
 //     The module is compiled once into linear code with precomputed
 //     jump offsets, resolved call targets and builtin function
 //     pointers, and executed over a reusable frame arena — the
 //     allocation-free hot path every analysis's evaluation budget is
 //     spent on.
 //   - EngineTree: the original tree-walking interpreter, kept as the
-//     reference semantics and differential-testing oracle.
+//     reference semantics and differential-testing oracle. It is
+//     reached only by setting Interp.Engine explicitly.
 //
 // The engines are observationally identical: same results, same monitor
 // observation sequences, same step-budget aborts (enforced by the
@@ -52,30 +54,13 @@ const (
 	EngineTree
 )
 
-// ParseEngine resolves an engine name ("vm" or "tree"), for -engine
-// style command-line flags.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "", "vm", "compiled":
-		return EngineVM, nil
-	case "tree", "walker", "interp":
-		return EngineTree, nil
-	}
-	return EngineVM, fmt.Errorf("unknown engine %q (want vm or tree)", name)
-}
-
-// String returns the flag spelling of the engine.
+// String returns the engine's name.
 func (e Engine) String() string {
 	if e == EngineTree {
 		return "tree"
 	}
 	return "vm"
 }
-
-// DefaultEngine is the engine New installs on fresh interpreters. Tools
-// expose it via -engine flags for A/B timing; tests pin it per Interp
-// instead.
-var DefaultEngine = EngineVM
 
 // Interp drives interpretation of one module.
 type Interp struct {
@@ -84,8 +69,8 @@ type Interp struct {
 	// MaxSteps bounds instructions per execution; zero selects
 	// DefaultMaxSteps.
 	MaxSteps int
-	// Engine selects the execution engine. The zero value is EngineVM;
-	// New installs DefaultEngine.
+	// Engine selects the execution engine. The zero value, which New
+	// installs, is EngineVM; oracles set EngineTree explicitly.
 	Engine Engine
 
 	// Failures collects assertion violations across runs (reset by
@@ -103,8 +88,8 @@ type Interp struct {
 	cargs []float64 // tree-walker call-argument scratch
 }
 
-// New returns an interpreter for the module using DefaultEngine.
-func New(m *ir.Module) *Interp { return &Interp{Mod: m, Engine: DefaultEngine} }
+// New returns an interpreter for the module on the VM engine.
+func New(m *ir.Module) *Interp { return &Interp{Mod: m, Engine: EngineVM} }
 
 // ClearFailures discards recorded assertion failures.
 func (it *Interp) ClearFailures() { it.Failures = nil }

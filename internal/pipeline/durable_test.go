@@ -79,7 +79,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	}
 	eng := pipeline.NewJobEngine(pipeline.New(2))
 	eng.Store = store
-	rec, err := eng.Submit(nil, quickJobs(3), 0)
+	rec, err := eng.Submit(quickJobs(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 		}
 	}
 	// A restored ID is never reissued.
-	rec3, err := eng2.Submit(nil, quickJobs(1), 0)
+	rec3, err := eng2.Submit(quickJobs(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,13 +369,6 @@ func TestAdmissionControl429(t *testing.T) {
 	if p.Type != "urn:fpserve:problem:overloaded" || p.Status != 429 {
 		t.Errorf("problem: %+v", p)
 	}
-	// The legacy endpoint sheds the same way.
-	resp, _ = doJSON(t, "POST", ts.URL+"/analyze",
-		`{"jobs": [{"spec": {"analysis": "xsat", "seed": 1, "formula": "x < 1"}}]}`)
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-		t.Errorf("legacy analyze over watermark: status %d, Retry-After %q",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
 
 	// Cancel to clear the pressure; acceptance resumes.
 	doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+long.ID, "")
@@ -596,4 +589,74 @@ func sseResults(t testing.TB, base, id string) []string {
 		}
 	}
 	return out
+}
+
+// TestJournalReplaysRetiredEngineField: journals written while specs
+// still carried a per-job "engine" knob must keep replaying. The submit
+// record below is in that wire form; replay decodes it leniently, the
+// crash-caught job is requeued, and its results are byte-identical to a
+// fresh run of the same specs without the field.
+func TestJournalReplaysRetiredEngineField(t *testing.T) {
+	src, err := json.Marshal(loadFixtures(t)["fig2.fpl"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobsJSON := `[
+		{"source": ` + string(src) + `, "func": "prog", "spec": {"analysis": "coverage", "seed": 2,
+		 "evals": 300, "stall": 2, "workers": 1, "bounds": [{"lo": -100, "hi": 100}], "engine": "tree"}},
+		{"source": ` + string(src) + `, "func": "prog", "spec": {"analysis": "bva", "seed": 1,
+		 "starts": 2, "evals": 200, "workers": 1, "bounds": [{"lo": -100, "hi": 100}], "engine": "tree"}}]`
+	created, _ := time.Now().Add(-time.Second).MarshalJSON()
+
+	dir := t.TempDir()
+	j, _, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := `{"jobs": ` + jobsJSON + `, "created": ` + string(created) + `}`
+	if err := j.Append(journal.Record{Type: "submit", Job: "job-1", Data: json.RawMessage(submit)}, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := pipeline.OpenStore(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	eng := pipeline.NewJobEngine(pipeline.New(2))
+	eng.Store = store
+	if restored, requeued := eng.Recover(store.Recovered()); restored != 1 || requeued != 1 {
+		t.Fatalf("restored %d, requeued %d (want 1, 1)", restored, requeued)
+	}
+	rec, ok := eng.Get("job-1")
+	if !ok {
+		t.Fatal("requeued job missing from the table")
+	}
+	got, status := collectJob(t, rec)
+	if status != pipeline.JobCompleted {
+		t.Fatalf("requeued job ended %q", status)
+	}
+
+	var fresh []pipeline.Job
+	if err := json.Unmarshal([]byte(strings.ReplaceAll(jobsJSON, `, "engine": "tree"`, "")), &fresh); err != nil {
+		t.Fatal(err)
+	}
+	want := pipeline.New(2).RunBatch(context.Background(), fresh)
+	if len(got) != len(want) {
+		t.Fatalf("replayed job has %d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if w := norm(pipeline.MarshalResult(want[i])); got[i] != w {
+			t.Errorf("result %d differs from a fresh run:\n%s\nvs\n%s", i, w, got[i])
+		}
+		if strings.Contains(got[i], `"error"`) {
+			t.Errorf("result %d failed: %s", i, got[i])
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	eng.Shutdown(ctx)
 }

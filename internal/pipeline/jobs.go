@@ -60,7 +60,6 @@ func (e ErrOverloaded) Error() string { return "overloaded: " + e.Reason }
 // Cancellation causes, readable in JobView.Reason.
 var (
 	errCanceledByClient = errors.New("canceled by client")
-	errClientGone       = errors.New("client disconnected")
 	errShutdown         = errors.New("server shutdown")
 )
 
@@ -166,10 +165,9 @@ type JobView struct {
 	// deadline exceeded", "server shutdown", ...).
 	Reason string `json:"reason,omitempty"`
 	// Offset/Results are the requested result page, each result encoded
-	// exactly as the NDJSON surface encodes it (MarshalResult, which
-	// degrades non-JSON-serializable reports to summary-only instead of
-	// failing the response); NextOffset is set when more results exist
-	// beyond the page.
+	// by MarshalResult (which degrades non-JSON-serializable reports to
+	// summary-only instead of failing the response); NextOffset is set
+	// when more results exist beyond the page.
 	Offset     int               `json:"offset"`
 	Results    []json.RawMessage `json:"results"`
 	NextOffset *int              `json:"nextOffset,omitempty"`
@@ -244,9 +242,7 @@ func (rec *JobRecord) View(offset, limit int) JobView {
 // results first (late subscribers replay the full sequence), then new
 // ones as they land — until the record finishes or ctx fires. Results
 // are in wire form (MarshalResult bytes). It returns the record's final
-// status, or JobRunning when ctx ended the subscription first. Both
-// streaming surfaces (the legacy NDJSON response and the /v1 SSE
-// endpoint) follow through here.
+// status, or JobRunning when ctx ended the subscription first.
 func FollowJob(ctx context.Context, rec *JobRecord, emit func(result []byte)) JobStatus {
 	return FollowJobHeartbeat(ctx, rec, 0, emit, nil)
 }
@@ -318,8 +314,7 @@ type Runner func(ctx context.Context, jobs []Job, base int, emit func(index int,
 // EngineStats is the job engine's counter snapshot.
 type EngineStats struct {
 	// Submitted counts accepted batches; Canceled those that ended
-	// cancelled; Active those still running (tracked or not); Tracked
-	// the table size.
+	// cancelled; Active those still running; Tracked the table size.
 	Submitted int64 `json:"submitted"`
 	Canceled  int64 `json:"canceled"`
 	Active    int   `json:"active"`
@@ -340,9 +335,7 @@ type EngineStats struct {
 
 // JobEngine runs submitted batches asynchronously over one shared
 // pipeline and tracks them in a bounded, TTL-evicted table. It is the
-// single execution path of fpserve: the /v1 async API and the legacy
-// synchronous /analyze endpoint both submit here, so they share the
-// worker pool, the module cache, and the cancellation plumbing.
+// single execution path of fpserve's /v1 job API.
 //
 // With Store set the table is durable: every lifecycle transition is
 // journaled (submission durably, before the caller sees the job ID),
@@ -452,35 +445,6 @@ func (e *JobEngine) storeOp(id, op string, fn func() error) error {
 	return Retry(e.baseCtx, op+" "+id, storeBackoff(id), fn)
 }
 
-// Submit accepts a batch, starts it on the shared pipeline, and tracks
-// it in the job table (so /v1 clients can poll, stream, and cancel it
-// by ID), returning immediately with its record.
-//
-// The job's context is a child of the engine (so shutdown cancels it),
-// bounded by timeout when positive (the per-request deadline), and —
-// when parent is non-nil — additionally tied to parent: a parent's
-// cancellation cancels the batch. The async API passes nil because a
-// /v1 job outlives the submission request by design.
-//
-// With a Store mounted, Submit returns only after the submission record
-// is durable: an accepted job (202) survives any later crash.
-func (e *JobEngine) Submit(parent context.Context, jobs []Job, timeout time.Duration) (*JobRecord, error) {
-	return e.submit(parent, jobs, timeout, true)
-}
-
-// SubmitUntracked is Submit for batches whose results are delivered
-// out-of-band: the record never enters the job table (its client never
-// learns a job ID, so retention would be pure leak), does not count
-// against MaxTrackedJobs, and is never journaled (its delivery
-// guarantee is the open connection) — the legacy synchronous /analyze
-// endpoint, whose concurrency is bounded by its open connections,
-// submits here. Shutdown still cancels it (the job context is a child
-// of the engine's), and it still shares the worker pool, the
-// admission-control watermarks, and the counters.
-func (e *JobEngine) SubmitUntracked(parent context.Context, jobs []Job) (*JobRecord, error) {
-	return e.submit(parent, jobs, 0, false)
-}
-
 // admitLocked applies the load-shedding watermarks. Callers hold e.mu.
 func (e *JobEngine) admitLocked(n int) error {
 	if e.AdmitHook != nil {
@@ -515,7 +479,18 @@ func (e *JobEngine) admitLocked(n int) error {
 	return nil
 }
 
-func (e *JobEngine) submit(parent context.Context, jobs []Job, timeout time.Duration, track bool) (*JobRecord, error) {
+// Submit accepts a batch, starts it on the shared pipeline, and tracks
+// it in the job table (so /v1 clients can poll, stream, and cancel it
+// by ID), returning immediately with its record.
+//
+// The job's context is a child of the engine (so shutdown cancels it)
+// and is bounded by timeout when positive (the per-request deadline).
+// It is not tied to the submitting request: a /v1 job outlives its
+// submission by design.
+//
+// With a Store mounted, Submit returns only after the submission record
+// is durable: an accepted job (202) survives any later crash.
+func (e *JobEngine) Submit(jobs []Job, timeout time.Duration) (*JobRecord, error) {
 	e.mu.Lock()
 	if !e.accepting {
 		e.mu.Unlock()
@@ -527,7 +502,7 @@ func (e *JobEngine) submit(parent context.Context, jobs []Job, timeout time.Dura
 		e.shed.Add(1)
 		return nil, err
 	}
-	if track && len(e.records) >= e.maxTracked() {
+	if len(e.records) >= e.maxTracked() {
 		// TTL didn't free a slot: evict the oldest finished job to make
 		// room. Non-terminal (running or queued) jobs are never evicted
 		// — a table full of them refuses the submission instead.
@@ -555,13 +530,11 @@ func (e *JobEngine) submit(parent context.Context, jobs []Job, timeout time.Dura
 	// backoff; exhaustion refuses the submission (still Retryable, so
 	// the surface answers 503 + Retry-After rather than losing a job it
 	// acknowledged).
-	if track {
-		if err := e.storeOp(rec.ID, "journal submit", func() error {
-			return e.Store.JobSubmitted(rec.ID, jobs, timeout, rec.Created)
-		}); err != nil {
-			cancelCause(nil)
-			return nil, err
-		}
+	if err := e.storeOp(rec.ID, "journal submit", func() error {
+		return e.Store.JobSubmitted(rec.ID, jobs, timeout, rec.Created)
+	}); err != nil {
+		cancelCause(nil)
+		return nil, err
 	}
 
 	e.mu.Lock()
@@ -571,20 +544,16 @@ func (e *JobEngine) submit(parent context.Context, jobs []Job, timeout time.Dura
 		// resurrect a job whose client was refused.
 		e.mu.Unlock()
 		cancelCause(nil)
-		if track {
-			now := time.Now()
-			if err := e.storeOp(rec.ID, "journal terminal", func() error {
-				return e.Store.JobTerminal(rec.ID, JobCanceled, errShutdown.Error(), now)
-			}); err != nil {
-				e.logf("fpserve: journal: sealing refused submission %s: %v", rec.ID, err)
-			}
+		now := time.Now()
+		if err := e.storeOp(rec.ID, "journal terminal", func() error {
+			return e.Store.JobTerminal(rec.ID, JobCanceled, errShutdown.Error(), now)
+		}); err != nil {
+			e.logf("fpserve: journal: sealing refused submission %s: %v", rec.ID, err)
 		}
 		return nil, ErrShuttingDown
 	}
-	if track {
-		e.records[rec.ID] = rec
-		e.order = append(e.order, rec.ID)
-	}
+	e.records[rec.ID] = rec
+	e.order = append(e.order, rec.ID)
 	e.wg.Add(1)
 	e.mu.Unlock()
 	e.submitted.Add(1)
@@ -596,16 +565,7 @@ func (e *JobEngine) submit(parent context.Context, jobs []Job, timeout time.Dura
 	if timeout > 0 {
 		runCtx, cancelTimeout = context.WithTimeout(ctx, timeout)
 	}
-	if parent != nil {
-		go func() {
-			select {
-			case <-parent.Done():
-				cancelCause(errClientGone)
-			case <-runCtx.Done():
-			}
-		}()
-	}
-	e.run(rec, runCtx, cancelCause, cancelTimeout, jobs, 0, track)
+	e.run(rec, runCtx, cancelCause, cancelTimeout, jobs, 0)
 	return rec, nil
 }
 
@@ -613,16 +573,14 @@ func (e *JobEngine) submit(parent context.Context, jobs []Job, timeout time.Dura
 // batch on the shared pipeline, journaling every transition. It owns
 // the record's finish. Callers have already incremented wg, running,
 // and inflight.
-func (e *JobEngine) run(rec *JobRecord, ctx context.Context, cancelCause context.CancelCauseFunc, cancelTimeout context.CancelFunc, jobs []Job, base int, journaled bool) {
+func (e *JobEngine) run(rec *JobRecord, ctx context.Context, cancelCause context.CancelCauseFunc, cancelTimeout context.CancelFunc, jobs []Job, base int) {
 	go func() {
 		defer e.wg.Done()
 		defer e.running.Add(-1)
-		if journaled {
-			if err := e.storeOp(rec.ID, "journal start", func() error {
-				return e.Store.JobStarted(rec.ID)
-			}); err != nil {
-				e.logf("fpserve: journal: start %s: %v", rec.ID, err)
-			}
+		if err := e.storeOp(rec.ID, "journal start", func() error {
+			return e.Store.JobStarted(rec.ID)
+		}); err != nil {
+			e.logf("fpserve: journal: start %s: %v", rec.ID, err)
 		}
 		run := e.Runner
 		if run == nil {
@@ -631,12 +589,10 @@ func (e *JobEngine) run(rec *JobRecord, ctx context.Context, cancelCause context
 		run(ctx, jobs, base, func(index int, raw json.RawMessage) {
 			rec.append(raw)
 			e.inflight.Add(-1)
-			if journaled {
-				if err := e.storeOp(rec.ID, "journal result", func() error {
-					return e.Store.ResultAppended(rec.ID, index, raw)
-				}); err != nil {
-					e.logf("fpserve: journal: result %s[%d]: %v", rec.ID, index, err)
-				}
+			if err := e.storeOp(rec.ID, "journal result", func() error {
+				return e.Store.ResultAppended(rec.ID, index, raw)
+			}); err != nil {
+				e.logf("fpserve: journal: result %s[%d]: %v", rec.ID, index, err)
 			}
 		})
 		var cause error
@@ -648,16 +604,14 @@ func (e *JobEngine) run(rec *JobRecord, ctx context.Context, cancelCause context
 			e.canceled.Add(1)
 		}
 		rec.finish(cause)
-		if journaled {
-			status, reason, finished := rec.terminal()
-			if err := e.storeOp(rec.ID, "journal terminal", func() error {
-				return e.Store.JobTerminal(rec.ID, status, reason, finished)
-			}); err != nil {
-				e.logf("fpserve: journal: terminal %s: %v", rec.ID, err)
-			}
+		status, reason, finished := rec.terminal()
+		if err := e.storeOp(rec.ID, "journal terminal", func() error {
+			return e.Store.JobTerminal(rec.ID, status, reason, finished)
+		}); err != nil {
+			e.logf("fpserve: journal: terminal %s: %v", rec.ID, err)
 		}
 		cancelTimeout()
-		cancelCause(nil) // release the watcher and the timer chain
+		cancelCause(nil) // release the timer chain
 	}()
 }
 
@@ -739,7 +693,7 @@ func (e *JobEngine) Recover(recovered []RecoveredJob) (restored, requeued int) {
 			// results), exactly as the uninterrupted timeline would.
 			runCtx, cancelTimeout = context.WithDeadline(ctx, rj.Created.Add(rj.Timeout))
 		}
-		e.run(rec, runCtx, cancelCause, cancelTimeout, remaining, base, true)
+		e.run(rec, runCtx, cancelCause, cancelTimeout, remaining, base)
 	}
 	return restored, requeued
 }
@@ -870,12 +824,11 @@ func (e *JobEngine) evictOldestFinishedLocked() bool {
 	return false // everything is running
 }
 
-// Shutdown stops accepting submissions, cancels every running job —
-// tracked ones with the shutdown reason, then the engine context as
-// the backstop for untracked ones — and waits for them to drain (each
-// lands within one objective evaluation) or for ctx to expire. On a
-// complete drain it journals the clean-shutdown marker, so the next
-// boot can tell restart from crash.
+// Shutdown stops accepting submissions, cancels every running job with
+// the shutdown reason (the engine context is the backstop), and waits
+// for them to drain (each lands within one objective evaluation) or for
+// ctx to expire. On a complete drain it journals the clean-shutdown
+// marker, so the next boot can tell restart from crash.
 func (e *JobEngine) Shutdown(ctx context.Context) error {
 	e.mu.Lock()
 	e.accepting = false

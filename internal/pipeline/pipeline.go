@@ -233,17 +233,12 @@ func (pl *Pipeline) RunJob(ctx context.Context, idx int, j Job) JobResult {
 			in.Program = p
 			in.SF = cli.SFForBuiltin(j.Builtin)
 		case j.Source != "":
-			eng, err := interp.ParseEngine(spec.Engine)
-			if err != nil {
-				res.Error = (&analysis.SpecError{Field: "engine", Value: spec.Engine, Reason: err.Error()}).Error()
-				return res
-			}
 			lg, err := gofront.ParseLang(j.Lang)
 			if err != nil {
 				res.Error = (&analysis.SpecError{Field: "lang", Value: j.Lang, Reason: err.Error()}).Error()
 				return res
 			}
-			p, hit, err := pl.Cache.Program(lg, j.Source, j.Func, eng)
+			p, hit, err := pl.Cache.Program(lg, j.Source, j.Func, interp.EngineVM)
 			if err != nil {
 				res.Error = err.Error()
 				return res

@@ -99,14 +99,14 @@ func (ps *ProgramStore) Register(lg gofront.Lang, source, fn string, now time.Ti
 
 	// Compile outside the store lock (the module cache serializes
 	// per-module compilation itself).
-	it, _, err := ps.cache.Module(lg, source, interp.DefaultEngine)
+	it, _, err := ps.cache.Module(lg, source, interp.EngineVM)
 	if err != nil {
 		return ProgramInfo{}, false, err
 	}
 	if fn == "" {
 		fn = it.Mod.Order[0]
 	}
-	p, _, err := ps.cache.Program(lg, source, fn, interp.DefaultEngine)
+	p, _, err := ps.cache.Program(lg, source, fn, interp.EngineVM)
 	if err != nil {
 		return ProgramInfo{}, false, err
 	}
@@ -151,9 +151,9 @@ func (ps *ProgramStore) Lookup(id string) (ProgramInfo, string, bool) {
 	return rp.info, rp.source, true
 }
 
-// Delete evicts a registered program and its cached modules (under
-// every engine). In-flight jobs keep their program instances; only the
-// registration and the cache slots go away.
+// Delete evicts a registered program and its cached module. In-flight
+// jobs keep their program instances; only the registration and the
+// cache slot go away.
 func (ps *ProgramStore) Delete(id string) bool {
 	ps.mu.Lock()
 	rp, ok := ps.byID[id]
@@ -163,9 +163,7 @@ func (ps *ProgramStore) Delete(id string) bool {
 		return false
 	}
 	lg, _ := gofront.ParseLang(rp.info.Lang)
-	for _, eng := range []interp.Engine{interp.EngineVM, interp.EngineTree} {
-		ps.cache.Drop(lg, rp.source, eng)
-	}
+	ps.cache.Drop(lg, rp.source, interp.EngineVM)
 	return true
 }
 

@@ -1,15 +1,13 @@
 package pipeline_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/interp"
@@ -19,45 +17,46 @@ import (
 	"repro/internal/rt"
 )
 
-func serverRequestBody(t testing.TB, srcs map[string]string) string {
-	t.Helper()
+// serverSpecs is the 4-analysis batch the concurrency test fans over
+// fig2.fpl.
+func serverSpecs() []analysis.Spec {
 	bounds := []opt.Bound{{Lo: -100, Hi: 100}}
-	req := pipeline.Request{
-		Source: srcs["fig2.fpl"],
-		Func:   "prog",
-		Specs: []analysis.Spec{
-			{Analysis: "coverage", Seed: 2, Evals: 300, Stall: 2, Workers: 1, Bounds: bounds},
-			{Analysis: "bva", Seed: 1, Starts: 2, Evals: 200, Workers: 1, Bounds: bounds},
-			{Analysis: "overflow", Seed: 3, Evals: 300, Rounds: 6, Workers: 1},
-			{Analysis: "nan", Seed: 5, Evals: 300, Rounds: 6, Workers: 1},
-		},
+	return []analysis.Spec{
+		{Analysis: "coverage", Seed: 2, Evals: 300, Stall: 2, Workers: 1, Bounds: bounds},
+		{Analysis: "bva", Seed: 1, Starts: 2, Evals: 200, Workers: 1, Bounds: bounds},
+		{Analysis: "overflow", Seed: 3, Evals: 300, Rounds: 6, Workers: 1},
+		{Analysis: "nan", Seed: 5, Evals: 300, Rounds: 6, Workers: 1},
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(body)
 }
 
-func postAnalyze(t testing.TB, url, body string) []map[string]any {
+// runV1Batch submits body to POST /v1/jobs, polls the job until it
+// completes, and returns its results in job order.
+func runV1Batch(t testing.TB, url, body string) []json.RawMessage {
 	t.Helper()
-	resp, err := http.Post(url+"/analyze", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	resp, data := doJSON(t, "POST", url+"/v1/jobs", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	sub := decode[struct {
+		ID string `json:"id"`
+	}](t, data)
+	v := pollJob(t, url, sub.ID, time.Minute, func(v pipeline.JobView) bool {
+		return v.Status != pipeline.JobRunning
+	})
+	if v.Status != pipeline.JobCompleted || len(v.Results) != v.Jobs {
+		t.Fatalf("job %s ended %q with %d of %d results", sub.ID, v.Status, len(v.Results), v.Jobs)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
+	return v.Results
+}
+
+// normalizedResults decodes wire results with their durations masked.
+func normalizedResults(t testing.TB, raws []json.RawMessage) []map[string]any {
+	t.Helper()
 	var out []map[string]any
-	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+	for _, raw := range raws {
 		var m map[string]any
-		if err := json.Unmarshal(pipeline.NormalizeDurations(line), &m); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		if err := json.Unmarshal(pipeline.NormalizeDurations(raw), &m); err != nil {
+			t.Fatalf("bad result %q: %v", raw, err)
 		}
 		out = append(out, m)
 	}
@@ -65,7 +64,7 @@ func postAnalyze(t testing.TB, url, body string) []map[string]any {
 }
 
 // TestServeConcurrentBitIdentical is the fpserve acceptance test: ≥8
-// concurrent requests over one shared module cache return results
+// concurrent /v1 batches over one shared module cache return results
 // bit-identical to the serial in-process analysis path, and the cached
 // module is never recompiled.
 func TestServeConcurrentBitIdentical(t *testing.T) {
@@ -73,25 +72,20 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 		t.Skip("concurrent request sweep in -short mode")
 	}
 	srcs := loadFixtures(t)
-	srv := pipeline.NewServer(0)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	srv, ts := v1Server(t, 0)
 
-	body := serverRequestBody(t, srcs)
+	src, specs := srcs["fig2.fpl"], serverSpecs()
+	body := mustJSON(t, map[string]any{"source": src, "func": "prog", "specs": specs})
 
 	// The serial oracle: the same jobs through the registry directly,
 	// one at a time, rendered through the same JSON shape.
-	var req pipeline.Request
-	if err := json.Unmarshal([]byte(body), &req); err != nil {
-		t.Fatal(err)
-	}
 	var want []map[string]any
-	for i, spec := range req.Specs {
+	for i, spec := range specs {
 		a, err := analysis.Lookup(spec.Analysis)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := weakCompile(req.Source, req.Func)
+		p, err := weakCompile(src, "prog")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +109,7 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			got[c] = postAnalyze(t, ts.URL, body)
+			got[c] = normalizedResults(t, runV1Batch(t, ts.URL, body))
 		}(c)
 	}
 	wg.Wait()
@@ -127,15 +121,15 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 		}
 	}
 
-	// One source, one engine: exactly one compilation across all eight
-	// concurrent requests — cached-module requests never recompile.
+	// One source: exactly one compilation across all eight concurrent
+	// requests — cached-module requests never recompile.
 	if st := srv.PL.Cache.Stats(); st.Compiles != 1 {
 		t.Errorf("module compiled %d times across %d concurrent requests, want 1 (stats %+v)",
 			st.Compiles, clients, st)
 	}
 
 	// The stats and health endpoints respond.
-	for _, path := range []string{"/stats", "/healthz", "/analyses"} {
+	for _, path := range []string{"/stats", "/healthz", "/v1/analyses"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET %s: %v %v", path, err, resp)
@@ -144,28 +138,34 @@ func TestServeConcurrentBitIdentical(t *testing.T) {
 	}
 }
 
-// TestServeBadRequests covers the HTTP error surface.
+// TestServeBadRequests covers the HTTP error surface: malformed and
+// oversized batches are refused up front, and a job-level failure is a
+// result rather than an HTTP error.
 func TestServeBadRequests(t *testing.T) {
-	ts := httptest.NewServer(pipeline.NewServer(1).Handler())
-	defer ts.Close()
+	srv, ts := v1Server(t, 1)
 
-	if resp, err := http.Get(ts.URL + "/analyze"); err != nil || resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /analyze: %v %v", err, resp.StatusCode)
-	}
 	for _, body := range []string{"", "{}", `{"jobs": []}`, `{"nonsense": 1}`} {
-		resp, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		resp, data := doJSON(t, "POST", ts.URL+"/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %q: status %d, want 400", body, resp.StatusCode)
+			t.Errorf("POST %q: status %d, want 400: %s", body, resp.StatusCode, data)
 		}
 	}
-	// A job-level failure is a result line, not an HTTP error.
-	lines := postAnalyze(t, ts.URL, `{"builtin": "nope", "specs": [{"analysis": "bva"}]}`)
-	if len(lines) != 1 || lines[0]["error"] == nil {
-		t.Errorf("job-level failure: %v", lines)
+	// The removed engine knob is refused by name.
+	resp, data := doJSON(t, "POST", ts.URL+"/v1/jobs",
+		`{"builtin": "fig2", "specs": [{"analysis": "bva", "engine": "tree"}]}`)
+	if p := decode[pipeline.ProblemDetails](t, data); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(p.Detail, `unknown field "engine"`) {
+		t.Errorf("spec with engine: status %d, problem %+v", resp.StatusCode, p)
+	}
+	// Nothing above reached the job engine.
+	if st := srv.Engine.Stats(); st.Submitted != 0 {
+		t.Errorf("refused requests submitted %d batches", st.Submitted)
+	}
+
+	// A job-level failure is a result, not an HTTP error.
+	res := runV1Batch(t, ts.URL, `{"builtin": "nope", "specs": [{"analysis": "bva"}]}`)
+	if len(res) != 1 || decodeResult(t, res[0]).Error == "" {
+		t.Errorf("job-level failure: %s", res)
 	}
 
 	// Oversized batches are rejected up front, not scheduled.
@@ -178,12 +178,7 @@ func TestServeBadRequests(t *testing.T) {
 		big.WriteString(`{"analysis": "bva"}`)
 	}
 	big.WriteString(`]}`)
-	resp, err := http.Post(ts.URL+"/analyze", "application/json", strings.NewReader(big.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := doJSON(t, "POST", ts.URL+"/v1/jobs", big.String()); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("5000-job request: status %d, want 400", resp.StatusCode)
 	}
 }

@@ -11,12 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/gofront"
-	"repro/internal/interp"
 	"repro/internal/opt"
 	"repro/internal/sat"
 )
@@ -176,12 +176,18 @@ func (req jobSubmitRequest) v1jobs() []V1Job {
 // source, hitting the same cache slot registration warmed). It returns
 // every validation failure, not just the first, each located by its
 // job index.
+//
+// spec.workers is clamped to GOMAXPROCS: each worker builds its own
+// program instance, and workers never change results, so a larger
+// request would only cost memory and goroutines.
 func (s *Server) resolveJobs(v1jobs []V1Job) ([]Job, []*analysis.SpecError) {
 	var errs []*analysis.SpecError
 	loc := func(i int, field string) string { return fmt.Sprintf("jobs[%d].%s", i, field) }
+	maxWorkers := runtime.GOMAXPROCS(0)
 	jobs := make([]Job, 0, len(v1jobs))
 	for i, vj := range v1jobs {
 		job := Job{Builtin: vj.Builtin, Source: vj.Source, Lang: vj.Lang, Func: vj.Func, Spec: vj.Spec}
+		job.Spec.Workers = min(job.Spec.Workers, maxWorkers)
 
 		if _, err := gofront.ParseLang(vj.Lang); err != nil {
 			errs = append(errs, &analysis.SpecError{Field: loc(i, "lang"),
@@ -262,10 +268,6 @@ func (s *Server) resolveJobs(v1jobs []V1Job) ([]Job, []*analysis.SpecError) {
 		if _, err := opt.BroadcastBounds(vj.Spec.Bounds, len(vj.Spec.Bounds)); err != nil {
 			errs = append(errs, &analysis.SpecError{Field: loc(i, "spec.bounds"), Reason: err.Error()})
 		}
-		if _, err := interp.ParseEngine(vj.Spec.Engine); err != nil {
-			errs = append(errs, &analysis.SpecError{Field: loc(i, "spec.engine"),
-				Value: vj.Spec.Engine, Reason: err.Error()})
-		}
 		if spe := vj.Spec.ValidateBackend(); spe != nil {
 			errs = append(errs, &analysis.SpecError{Field: loc(i, "spec."+spe.Field),
 				Value: spe.Value, Reason: spe.Reason})
@@ -321,7 +323,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		validationProblem(w, fmt.Sprintf("%d validation errors across %d jobs", len(errs), len(v1jobs)), errs)
 		return
 	}
-	rec, err := s.Engine.Submit(nil, jobs, timeout)
+	rec, err := s.Engine.Submit(jobs, timeout)
 	if err != nil {
 		s.submitProblem(w, err)
 		return

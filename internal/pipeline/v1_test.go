@@ -9,7 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -439,7 +441,7 @@ func TestV1ProblemGolden(t *testing.T) {
 				{"builtin": "fig2", "source": "func f(x double) double { return x; }",
 				 "spec": {"analysis": "bva"}},
 				{"program": "sha256:beef", "spec": {"analysis": "coverage"}},
-				{"spec": {"analysis": "bva", "backend": "gradient", "engine": "llvm"}},
+				{"spec": {"analysis": "bva", "backend": "gradient"}},
 				{"spec": {"analysis": "xsat"}},
 				{"spec": {"analysis": "xsat", "formula": "x <"}},
 				{"builtin": "fig2", "spec": {"analysis": "reach"}},
@@ -485,23 +487,25 @@ func TestV1ProblemGolden(t *testing.T) {
 	}
 }
 
-// TestLegacyAnalyzeReleasesRecord: the synchronous endpoint delivers
-// its results in the response, so it must not park job records (and
-// their result sets) in the engine table afterward.
+// TestLegacyAnalyzeReleasesRecord: the retired unversioned routes
+// (POST /analyze, GET /analyses) answer 404 and never reach the job
+// engine, so they neither run a batch nor park a record in the table.
+// Batches go through POST /v1/jobs, the listing through /v1/analyses.
 func TestLegacyAnalyzeReleasesRecord(t *testing.T) {
 	srv, ts := v1Server(t, 1)
 	body := `{"builtin": "fig2", "specs": [
 		{"analysis": "coverage", "seed": 1, "evals": 200, "stall": 2, "workers": 1,
 		 "bounds": [{"lo": -100, "hi": 100}]}]}`
-	resp, data := doJSON(t, "POST", ts.URL+"/analyze", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze: status %d: %s", resp.StatusCode, data)
+	for _, path := range []string{"/analyze", "/analyses"} {
+		for _, method := range []string{"GET", "POST"} {
+			resp, data := doJSON(t, method, ts.URL+path, body)
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s: status %d, want 404: %s", method, path, resp.StatusCode, data)
+			}
+		}
 	}
-	if st := srv.Engine.Stats(); st.Tracked != 0 {
-		t.Errorf("legacy batch left %d records in the job table", st.Tracked)
-	}
-	if st := srv.Engine.Stats(); st.Submitted != 1 {
-		t.Errorf("submitted = %d", st.Submitted)
+	if st := srv.Engine.Stats(); st.Tracked != 0 || st.Submitted != 0 {
+		t.Errorf("retired routes reached the job engine: %+v", st)
 	}
 }
 
@@ -591,12 +595,6 @@ func TestJobCapacityEvictionOnlyOnSubmit(t *testing.T) {
 	if p := decode[pipeline.ProblemDetails](t, data); p.Status != http.StatusTooManyRequests {
 		t.Errorf("problem body status %d, want 429", p.Status)
 	}
-	// ...but the legacy synchronous endpoint is untracked and unaffected.
-	resp, data = doJSON(t, "POST", ts.URL+"/analyze",
-		`{"specs": [{"analysis": "xsat", "seed": 1, "formula": "x < 1"}], "builtin": ""}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy analyze with full table: status %d: %s", resp.StatusCode, data)
-	}
 	doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+long.ID, "")
 }
 
@@ -630,5 +628,34 @@ func TestV1SpecErrorParity(t *testing.T) {
 	}
 	if p.Errors[0].Reason != spe.Reason || p.Errors[0].Field != "jobs[0].spec.analysis" {
 		t.Errorf("problem field detail diverged from the CLI error: %+v", p.Errors[0])
+	}
+}
+
+// TestV1WorkersClamped: spec.workers never changes results, and each
+// worker builds its own program instance, so /v1 clamps it to
+// GOMAXPROCS instead of letting one request ask for a million
+// goroutines. 0 (all CPUs) passes through. A stub runner records what
+// the engine would execute, so no search starts.
+func TestV1WorkersClamped(t *testing.T) {
+	srv, ts := v1Server(t, 1)
+	var mu sync.Mutex
+	var got []int
+	srv.Engine.Runner = func(ctx context.Context, jobs []pipeline.Job, base int, emit func(int, json.RawMessage)) {
+		for i, j := range jobs {
+			mu.Lock()
+			got = append(got, j.Spec.Workers)
+			mu.Unlock()
+			emit(base+i, json.RawMessage(`{}`))
+		}
+	}
+	runV1Batch(t, ts.URL, `{"builtin": "fig2", "specs": [
+		{"analysis": "bva", "starts": 1000000, "workers": 1048576},
+		{"analysis": "bva", "workers": 0},
+		{"analysis": "bva", "workers": 1}]}`)
+	mu.Lock()
+	defer mu.Unlock()
+	want := []int{runtime.GOMAXPROCS(0), 0, 1}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("workers reaching the runner = %v, want %v", got, want)
 	}
 }
